@@ -26,8 +26,8 @@ from .bqf import (ClassGroupSummary, ReducedForm, class_number,
 from .chebotarev import (AbelianExtension, ConjClass, artin_class,
                          counting_chain_check, cyclotomic_field,
                          density_ratio_report, pi_class, psi_class,
-                         quadratic_field, theta_class, trivial_extension,
-                         weighted_prime_sum)
+                         quadratic_field, theta_class, theta_series,
+                         trivial_extension, weighted_prime_sum)
 from .elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                        growth_shape_report, read_curves, trace_match_count,
                        trace_of_frobenius)

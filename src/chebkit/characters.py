@@ -54,8 +54,14 @@ def _cyclic_components(q: int) -> list[tuple[int, int, np.ndarray]]:
             if e == 2:
                 comps.append((pe, 2, _dlog_table(3, pe, 2)))
             else:
-                comps.append((pe, 2, _dlog_table(pe - 1, pe, 2)))
-                comps.append((pe, 2 ** (e - 2), _dlog_table(3, pe, 2 ** (e - 2))))
+                # every unit is (-1)^s 3^j: one table for s, one for j
+                main = _dlog_table(3, pe, 2 ** (e - 2))
+                powers = np.flatnonzero(main >= 0)
+                main[pe - powers] = main[powers]
+                sign = np.full(pe, -1, dtype=np.int64)
+                sign[powers], sign[pe - powers] = 0, 1
+                comps.append((pe, 2, sign))
+                comps.append((pe, 2 ** (e - 2), main))
         else:
             g = _primitive_root(p, e)
             phi = pe // p * (p - 1)
@@ -72,30 +78,6 @@ def _dlog_table(g: int, modulus: int, order: int) -> np.ndarray:
     return table
 
 
-def _dlog_2component_fill(q: int, comps):
-    """For 2^e with e >= 3 the two tables jointly cover the units: every odd
-    n mod 2^e equals (-1)^s 3^j; fill the missing entries of each table."""
-    fixed = []
-    by_modulus: dict[int, list] = {}
-    for modulus, order, table in comps:
-        by_modulus.setdefault(modulus, []).append([modulus, order, table])
-    for modulus, group in by_modulus.items():
-        if len(group) == 2:
-            sign_entry, main_entry = group
-            _, _, sign_table = sign_entry
-            _, main_order, main_table = main_entry
-            for n in range(1, modulus, 2):
-                if main_table[n] >= 0:
-                    if sign_table[n] < 0:
-                        sign_table[n] = 0
-                else:
-                    m = (modulus - n) % modulus
-                    main_table[n] = main_table[m]
-                    sign_table[n] = 1
-        fixed.extend(group)
-    return [(m, d, t) for m, d, t in fixed]
-
-
 @lru_cache(maxsize=64)
 def character_table(q: int) -> np.ndarray:
     """All phi(q) Dirichlet characters mod q as a (phi(q), q) complex array."""
@@ -103,7 +85,7 @@ def character_table(q: int) -> np.ndarray:
         raise DomainError("modulus must be >= 1")
     if q == 1:
         return np.ones((1, 1), dtype=complex)
-    comps = _dlog_2component_fill(q, _cyclic_components(q))
+    comps = _cyclic_components(q)
     units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
     orders = [d for (_, d, _) in comps]
     rows = []
@@ -118,7 +100,3 @@ def character_table(q: int) -> np.ndarray:
     table = np.array(rows)
     # principal character first, then by conductor-agnostic lexicographic order
     return table
-
-
-def character_count(q: int) -> int:
-    return character_table(q).shape[0]

@@ -16,12 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import is_squarefree, kronecker_table
+from .arith import factorize, is_squarefree, kronecker_table
 from .bounds import FieldInvariants, range_thresholds
 from .errors import DomainError
 from .progressions import euler_phi
 from .reports import BoundReport, PowerValue
-from .sieve import li, prime_powers, primes_upto
+from .sieve import CountSeries, li, partial_sum_pi_from_theta, prime_powers, primes_upto
 from .weights import WeightSpec, weight_value
 
 SPLIT = "split"
@@ -66,19 +66,7 @@ class AbelianExtension:
 
     @property
     def ramified(self) -> frozenset:
-        if self.kind == "trivial":
-            return frozenset()
-        m = abs(self.disc) if self.kind == "quadratic" else self.q
-        return frozenset(p for p in range(2, m + 1) if m % p == 0 and _is_prime_small(p))
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
+        return frozenset(factorize(self.disc))
 
 
 def quadratic_field(d: int) -> AbelianExtension:
@@ -151,19 +139,15 @@ def _class_weights(ext: AbelianExtension, cls: ConjClass,
         else:
             raise DomainError(f"unknown quadratic class {cls.key!r}")
         return sel.astype(float)
-    a = int(cls.key)
-    if math.gcd(a, ext.q) != 1:
-        raise DomainError(f"class residue {a} not coprime to {ext.q}")
-    vals = _powmod_vec(primes, exps, ext.q)
-    coprime = np.gcd(primes % ext.q, ext.q) == 1
-    return ((vals == a % ext.q) & coprime).astype(float)
-
-
-def _powmod_vec(bases: np.ndarray, exps: np.ndarray, mod: int) -> np.ndarray:
-    out = np.empty(bases.size, dtype=np.int64)
-    for i in range(bases.size):
-        out[i] = pow(int(bases[i]), int(exps[i]), mod)
-    return out
+    a, q = int(cls.key), ext.q
+    if math.gcd(a, q) != 1:
+        raise DomainError(f"class residue {a} not coprime to {q}")
+    # p^m mod q; the prime powers with m >= 2 are few (about 550 below 1e7)
+    residues = primes % q
+    high = np.flatnonzero(exps > 1)
+    residues[high] = [pow(int(p), int(m), q) for p, m in zip(primes[high], exps[high])]
+    # a is a unit, so a match also excludes the ramified p | q
+    return (residues == a % q).astype(float)
 
 
 def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
@@ -175,13 +159,25 @@ def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     return float(np.sum(w * np.log(primes)))
 
 
+def _primes_below(x: float) -> np.ndarray:
+    ps = primes_upto(x)
+    return ps[: int(np.searchsorted(ps, x))]
+
+
 def theta_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     """First-power restriction sum_{p < x} log(p) * [Frob(p) in C]."""
     if x <= 1:
         raise DomainError("theta requires x > 1")
-    ps = primes_upto(math.ceil(x) - 1 if float(x).is_integer() else math.floor(x))
+    ps = _primes_below(x)
     w = _class_weights(ext, cls, ps, np.ones(ps.size, dtype=np.int64))
     return float(np.sum(w * np.log(ps)))
+
+
+def theta_series(ext: AbelianExtension, cls: ConjClass, x: float) -> CountSeries:
+    """theta_C as a step table: a checkpoint at each class prime p < x
+    holding theta_C just past p, and a last checkpoint at x."""
+    ps = _primes_below(x)
+    return _class_series(ext, cls, x, ps, ps, np.ones(ps.size, dtype=np.int64))
 
 
 def pi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> int:
@@ -191,11 +187,14 @@ def pi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> int:
     return int(np.sum(w > 0))
 
 
-def _psi_step_points(ext: AbelianExtension, cls: ConjClass, x: float):
-    values, primes, exps = prime_powers(x, strict=False)
+def _class_series(ext: AbelianExtension, cls: ConjClass, x: float, values: np.ndarray,
+                  primes: np.ndarray, exps: np.ndarray) -> CountSeries:
+    """Cumulative class-weighted log p over ascending prime powers below x,
+    closed by a checkpoint at x."""
     w = _class_weights(ext, cls, primes, exps)
     keep = w > 0
-    return values[keep].astype(float), (np.log(primes) * w)[keep]
+    return CountSeries(np.append(values[keep], x),
+                       np.cumsum(np.append((np.log(primes) * w)[keep], 0.0)))
 
 
 def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float, x: float,
@@ -209,17 +208,9 @@ def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float, x: fl
     """
     if not (x > x0 > 3):
         raise DomainError("need x > x0 > 3")
-    jumps, weights = _psi_step_points(ext, cls, x)
-    psi_x = float(np.sum(weights[jumps < x]))
-    # exact integral of the step function against dt/(t log^2 t)
-    inside = (jumps > x0) & (jumps <= x)
-    ts = np.concatenate(([x0], jumps[inside], [x]))
-    base = float(np.sum(weights[jumps <= x0]))
-    levels = base + np.concatenate(([0.0], np.cumsum(weights[inside])))
-    inv_log = 1.0 / np.log(ts)
-    integral = float(np.sum(levels * (inv_log[:-1] - inv_log[1:])))
+    psi = _class_series(ext, cls, x, *prime_powers(x, strict=True))
     lhs = float(pi_class(ext, cls, x))
-    rhs = psi_x / math.log(x) + integral + constant * 1.0 * x0
+    rhs = partial_sum_pi_from_theta(psi, x0, x) + constant * 1.0 * x0
     return BoundReport.compare(lhs, rhs, label="pi <= smoothed psi chain")
 
 

@@ -13,10 +13,8 @@ Every library operation is reachable through one of the subcommands:
 
 Reports are emitted as JSON (default) or CSV with a header row; floats are
 printed with 12 significant digits so repeated runs diff cleanly.  A flat
-``key = value`` config file supplies defaults which flags override; the
-environment variable CHEB_THREADS overrides the thread count (counting
-kernels are vectorized; the setting is recorded in the report metadata).
-Exit status is 0 on success and 2 on a domain error.
+``key = value`` config file supplies defaults which flags override.
+Exit status is 0 on success and 2 on a usage or domain error.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,29 +35,10 @@ from . import elliptic
 from . import explicit
 from . import progressions as ap
 from .errors import CapacityError, DomainError
-from .sieve import CountSeries, li, partial_sum_pi_from_theta, primes_upto, segmented_primes
+from .sieve import li, partial_sum_pi_from_theta, primes_upto, segmented_primes
 from .weights import (WeightSpec, check_decay_bound, check_growth_bound,
                       check_left_line_bound, check_real_axis_bound,
                       laplace_transform, weight_value)
-
-SUBCOMMANDS = ("weights-verify", "bounds", "pi-ap", "bt-check", "bqf",
-               "chebotarev", "mellin-check", "lang-trotter")
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand, parameters, output and run knobs."""
-
-    command: str
-    params: dict
-    fmt: str = "json"
-    checkpoints: list = field(default_factory=list)
-    memory_budget: int = 2**33
-    threads: int = 1
-    delta0: float = 1e-3
-    eta: float = 1e-2
-    c1: float = 1.0
-    slack: float = 0.1
 
 
 def _fmt(v):
@@ -141,12 +118,12 @@ def _cmd_weights_verify(args) -> list[dict]:
     return rows
 
 
-def _cmd_bounds(args, cfg: RunConfig) -> list[dict]:
+def _cmd_bounds(args) -> list[dict]:
     inv = bounds_mod.FieldInvariants(
         n_K=args.n_k, D_K=args.d_k, Q=args.q_max,
         degree_LK=args.degree_lk,
         ramified_primes=frozenset(int(p) for p in args.ramified.split(",") if p.strip()),
-        delta0=cfg.delta0)
+        delta0=args.delta0)
     comp = bounds_mod.log_complexity(inv)
     ranges = bounds_mod.range_thresholds(inv, constant=args.constant)
     row = {
@@ -166,47 +143,47 @@ def _cmd_bounds(args, cfg: RunConfig) -> list[dict]:
         row["low_lying_bound_log"] = bounds_mod.low_lying_density_bound(
             args.lam, clamp=args.clamp).log
     if args.lambda1 is not None:
-        row["repulsion_threshold"] = bounds_mod.repulsion_threshold(args.lambda1, cfg.eta)
+        row["repulsion_threshold"] = bounds_mod.repulsion_threshold(args.lambda1, args.eta)
     if args.beta1 is not None and args.t_height is not None:
         row["exclusion_boundary"] = bounds_mod.deuring_heilbronn_exclusion(
-            inv, args.beta1, args.t_height, c1=cfg.c1)
+            inv, args.beta1, args.t_height, c1=args.c1)
     if args.theta is not None:
         row["bt_constant"] = bounds_mod.brun_titchmarsh_constant(args.theta)
     return [row]
 
 
-def _cmd_pi_ap(args, cfg: RunConfig) -> list[dict]:
+def _cmd_pi_ap(args) -> list[dict]:
     query = ap.APQuery(q=args.q, a=args.a, x=args.x)
     row = {"q": args.q, "a": args.a, "x": args.x, "count": ap.pi_ap(query)}
     if args.q >= 2 and args.x > args.q:
         mv = ap.montgomery_vaughan_check(query)
         row.update(mv_bound=mv.rhs, mv_passed=mv.passed)
-        my = ap.maynard_check(query, slack=cfg.slack)
+        my = ap.maynard_check(query, slack=args.slack)
         row.update(piecewise_bound=my.rhs, piecewise_passed=my.passed, heuristic=my.heuristic)
     return [row]
 
 
-def _cmd_bt_check(args, cfg: RunConfig) -> list[dict]:
+def _cmd_bt_check(args) -> list[dict]:
     rows = []
     residues = ([args.a] if args.a is not None else
                 [a for a in range(1, args.q) if math.gcd(a, args.q) == 1])
     for a in residues:
         query = ap.APQuery(q=args.q, a=a, x=args.x)
         mv = ap.montgomery_vaughan_check(query)
-        my = ap.maynard_check(query, slack=cfg.slack)
+        my = ap.maynard_check(query, slack=args.slack)
         rows.append({"q": args.q, "a": a, "x": args.x, "count": mv.lhs,
                      "mv_bound": mv.rhs, "mv_passed": mv.passed,
                      "piecewise_bound": my.rhs, "piecewise_passed": my.passed})
     return rows
 
 
-def _cmd_bqf(args, cfg: RunConfig) -> list[dict]:
+def _cmd_bqf(args) -> list[dict]:
     a, b, c = (int(t) for t in args.form.split(","))
     form = bqf_mod.reduce_form(a, b, c)
     summary = bqf_mod.class_number(args.D)
     if form.D != args.D:
         raise DomainError(f"form discriminant -{form.D} does not match --D {args.D}")
-    checkpoints = cfg.checkpoints or [args.x]
+    checkpoints = args.checkpoints or [args.x]
     series = bqf_mod.count_represented_primes(form, int(args.x), checkpoints)
     report = bqf_mod.representation_density_report(form, int(args.x))
     rows = []
@@ -234,17 +211,11 @@ def _make_extension(args) -> tuple[cheb.AbelianExtension, cheb.ConjClass]:
     return ext, cls
 
 
-def _cmd_chebotarev(args, cfg: RunConfig) -> list[dict]:
+def _cmd_chebotarev(args) -> list[dict]:
     ext, cls = _make_extension(args)
     report = cheb.density_ratio_report(ext, cls, args.x)
     chain = cheb.counting_chain_check(ext, cls, args.x0, args.x)
-    # partial-summation estimate of the count from a theta checkpoint table
-    grid = np.unique(np.concatenate((np.geomspace(args.x0, args.x, 512), [args.x0, args.x])))
-    theta_series = CountSeries(
-        checkpoints=grid,
-        counts=np.array([cheb.theta_class(ext, cls, t) for t in grid]),
-        label="theta table")
-    est = partial_sum_pi_from_theta(theta_series, args.x0, args.x)
+    est = partial_sum_pi_from_theta(cheb.theta_series(ext, cls, args.x), args.x0, args.x)
     return [{
         "kind": ext.kind, "class": str(cls.key), "x": args.x,
         "count": report.count,
@@ -259,7 +230,7 @@ def _cmd_chebotarev(args, cfg: RunConfig) -> list[dict]:
     }]
 
 
-def _cmd_mellin_check(args, cfg: RunConfig) -> list[dict]:
+def _cmd_mellin_check(args) -> list[dict]:
     if args.q == 1:
         ext, cls = cheb.trivial_extension(), cheb.ConjClass(cheb.FULL)
     else:
@@ -296,13 +267,13 @@ def _cmd_mellin_check(args, cfg: RunConfig) -> list[dict]:
     }]
 
 
-def _cmd_lang_trotter(args, cfg: RunConfig) -> list[dict]:
+def _cmd_lang_trotter(args) -> list[dict]:
     if args.curves_file:
         curves = elliptic.read_curves(args.curves_file)
     else:
         a_coef, b_coef = (int(t) for t in args.curve.split(","))
         curves = [elliptic.CurveModel(a_coef, b_coef)]
-    checkpoints = cfg.checkpoints or [args.x]
+    checkpoints = args.checkpoints or [args.x]
     rows = []
     for curve in curves:
         if args.mode == "trace":
@@ -322,6 +293,19 @@ def _cmd_lang_trotter(args, cfg: RunConfig) -> list[dict]:
     return rows
 
 
+_HANDLERS = {
+    "weights-verify": _cmd_weights_verify,
+    "bounds": _cmd_bounds,
+    "pi-ap": _cmd_pi_ap,
+    "bt-check": _cmd_bt_check,
+    "bqf": _cmd_bqf,
+    "chebotarev": _cmd_chebotarev,
+    "mellin-check": _cmd_mellin_check,
+    "lang-trotter": _cmd_lang_trotter,
+}
+SUBCOMMANDS = tuple(_HANDLERS)
+
+
 # ------------------------------------------------------------------ driver
 
 
@@ -336,9 +320,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="report format (default json)")
     parser.add_argument("--checkpoints", type=str, default=d(""),
                         help="comma-separated x checkpoints for counting commands")
-    parser.add_argument("--threads", type=int,
-                        default=d(int(os.environ.get("CHEB_THREADS", "1"))),
-                        help="thread count (recorded; kernels are vectorized)")
     parser.add_argument("--memory-budget", type=int, default=d(2**33),
                         help="largest sieve bound accepted")
     parser.add_argument("--delta0", type=float, default=d(1e-3),
@@ -427,73 +408,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KNOWN_CONFIG_KEYS = {
-    "format", "checkpoints", "threads", "memory_budget", "delta0", "eta",
-    "c1", "slack", "x", "ell", "eps", "samples", "seed", "n_k", "d_k",
-    "q_max", "degree_lk", "ramified", "constant", "sigma", "t_height",
-    "lam", "lambda1", "beta1", "theta", "q", "a", "D", "form", "d",
-    "cyclotomic", "cls", "x0", "residue", "char_index", "t_max", "step",
-    "n_max", "curve", "curves_file", "mode", "disc",
-}
-
-
-def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
-    """Install config values as defaults on the parser tree.
+def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> set[str]:
+    """Install config values as defaults on the parser tree and return the
+    destination of every flag in it.
 
     Subparsers parse into a fresh namespace, so the defaults must be set on
     each of them, and config-supplied values satisfy otherwise-required
     flags.
     """
     parser.set_defaults(**values)
+    dests = set()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                _apply_config_defaults(sub, values)
-        elif action.dest in values:
-            action.required = False
+                dests |= _apply_config_defaults(sub, values)
+        else:
+            dests.add(action.dest)
+            if action.dest in values:
+                action.required = False
+    return dests
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one invocation; returns (exit_code, report_text)."""
     parser = build_parser()
+    # pre-scan for --config so its values become defaults
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    cfg_path = pre.parse_known_args(argv)[0].config
     try:
-        # pre-scan for --config so its values become defaults
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
-            overrides = _read_config(cfg_path)
-            unknown = set(overrides) - _KNOWN_CONFIG_KEYS
+        if cfg_path is not None:
+            overrides = {k: _coerce_config_value(v) for k, v in _read_config(cfg_path).items()}
+            known = _apply_config_defaults(parser, overrides) - {"help", "config"}
+            unknown = set(overrides) - known
             if unknown:
                 raise DomainError(f"unknown config keys: {sorted(unknown)}")
-            _apply_config_defaults(
-                parser, {k: _coerce_config_value(v) for k, v in overrides.items()})
         args = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=args.command, params=vars(args), fmt=args.format,
-            checkpoints=_parse_checkpoints(args.checkpoints),
-            memory_budget=args.memory_budget, threads=args.threads,
-            delta0=args.delta0, eta=args.eta, c1=args.c1, slack=args.slack)
+        args.checkpoints = _parse_checkpoints(args.checkpoints)
         x_req = getattr(args, "x", None)
-        if x_req is not None and x_req > cfg.memory_budget:
+        if x_req is not None and x_req > args.memory_budget:
             raise CapacityError(
-                f"x = {x_req:g} exceeds the memory budget {cfg.memory_budget}")
-        if cfg.command == "weights-verify":
-            rows = _cmd_weights_verify(args)
-        elif cfg.command == "bounds":
-            rows = _cmd_bounds(args, cfg)
-        elif cfg.command == "pi-ap":
-            rows = _cmd_pi_ap(args, cfg)
-        elif cfg.command == "bt-check":
-            rows = _cmd_bt_check(args, cfg)
-        elif cfg.command == "bqf":
-            rows = _cmd_bqf(args, cfg)
-        elif cfg.command == "chebotarev":
-            rows = _cmd_chebotarev(args, cfg)
-        elif cfg.command == "mellin-check":
-            rows = _cmd_mellin_check(args, cfg)
-        else:
-            rows = _cmd_lang_trotter(args, cfg)
-        meta = {"command": cfg.command, "threads": cfg.threads}
-        return 0, emit(rows, cfg.fmt, meta)
+                f"x = {x_req:g} exceeds the memory budget {args.memory_budget}")
+        rows = _HANDLERS[args.command](args)
+        return 0, emit(rows, args.format, {"command": args.command})
     except (DomainError, CapacityError, ValueError) as exc:
         return 2, f"error: {exc}"
 
@@ -533,7 +490,7 @@ SUBCOMMAND_OPERATIONS = {
     "bqf": (bqf_mod.reduce_form, bqf_mod.class_number, bqf_mod.delta_q,
             bqf_mod.count_represented_primes, bqf_mod.representation_density_report, li),
     "chebotarev": (cheb.artin_class, cheb.psi_class, cheb.theta_class,
-                   cheb.pi_class, cheb.counting_chain_check,
+                   cheb.theta_series, cheb.pi_class, cheb.counting_chain_check,
                    cheb.density_ratio_report, partial_sum_pi_from_theta),
     "mellin-check": (cheb.weighted_prime_sum, explicit.zeta_log_deriv,
                      explicit.class_log_deriv, explicit.character_log_deriv,

@@ -30,7 +30,6 @@ class CurveModel:
     A: int
     B: int
     label: str = ""
-    conductor_hint: int | None = None
     cm_flag: bool | None = None
 
     def __post_init__(self):

@@ -76,14 +76,9 @@ class LogDerivSeries:
         return out
 
 
-def _lambda_support(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    values, primes, exps = prime_powers(n_max, strict=False)
-    return values, primes, exps
-
-
 def zeta_log_deriv(n_max: int) -> LogDerivSeries:
     """Coefficients Lambda(n): the full prime-power series (modulus 1)."""
-    values, primes, _ = _lambda_support(n_max)
+    values, primes, _ = prime_powers(n_max, strict=False)
     return LogDerivSeries(modulus=1, values=values,
                           coeffs=np.log(primes).astype(complex),
                           n_max=n_max, label="zeta")
@@ -98,7 +93,7 @@ def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
     table = character_table(q)
     if not (0 <= char_index < table.shape[0]):
         raise DomainError(f"character index {char_index} out of range for q={q}")
-    values, primes, _ = _lambda_support(n_max)
+    values, primes, _ = prime_powers(n_max, strict=False)
     chi = table[char_index][values % q]
     keep = chi != 0
     return LogDerivSeries(modulus=q, values=values[keep],
@@ -109,7 +104,7 @@ def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
 def class_log_deriv(ext: AbelianExtension, cls: ConjClass, n_max: int) -> LogDerivSeries:
     """Coefficients Lambda(n) * [Frobenius class indicator]; identical to
     the weighting used by the direct counters."""
-    values, primes, exps = _lambda_support(n_max)
+    values, primes, exps = prime_powers(n_max, strict=False)
     w = _class_weights(ext, cls, primes, exps)
     keep = w > 0
     label = f"{ext.kind} class {cls.key}"
@@ -124,7 +119,7 @@ def class_log_deriv_via_characters(q: int, residue: int, n_max: int) -> LogDeriv
     if math.gcd(residue, q) != 1:
         raise DomainError("residue must be coprime to the modulus")
     table = character_table(q)
-    values, primes, _ = _lambda_support(n_max)
+    values, primes, _ = prime_powers(n_max, strict=False)
     combo = np.zeros(values.size, dtype=complex)
     for row in table:
         combo += np.conj(row[residue % q]) * row[values % q]

@@ -189,19 +189,23 @@ def li(x: float, panels: int = 10_000) -> float:
 
 
 def partial_sum_pi_from_theta(theta_series: CountSeries, x0: float, x: float) -> float:
-    """Partial-summation estimate theta(x)/log x + int_{x0}^{x} theta(t)/(t log^2 t) dt.
+    """Partial summation theta(x)/log x + int_{x0}^{x} theta(t)/(t log^2 t) dt.
 
-    Trapezoidal quadrature over the series checkpoints; the series must
-    cover [x0, x].
+    The series is read as the step function of ``CountSeries.at`` (zero
+    before its first checkpoint), so the integral is exact: the sum of
+    level_i * (1/log t_i - 1/log t_{i+1}) over x0, the checkpoints inside
+    (x0, x), and x.  For the theta of a set of primes with a checkpoint at
+    each prime this equals #{x0 < p <= x} + theta(x0)/log x0.  The series
+    must reach x.
     """
     if not (x > x0 > 3):
         raise DomainError("need x > x0 > 3")
     cps = theta_series.checkpoints
-    if cps.size == 0 or cps[0] > x0 or cps[-1] < x:
-        raise DomainError("theta series does not cover [x0, x]")
-    grid = cps[(cps > x0) & (cps < x)]
-    ts = np.concatenate(([x0], grid, [x]))
-    theta = np.array([theta_series.at(t) for t in ts])
-    integrand = theta / (ts * np.log(ts) ** 2)
-    integral = float(np.trapezoid(integrand, ts))
+    if cps.size == 0 or cps[-1] < x:
+        raise DomainError("theta series does not reach x")
+    ts = np.concatenate(([x0], cps[(cps > x0) & (cps < x)], [x]))
+    levels = np.concatenate(([0.0], theta_series.counts))[
+        np.searchsorted(cps, ts[:-1], side="right")]
+    inv_log = 1.0 / np.log(ts)
+    integral = float(np.sum(levels * (inv_log[:-1] - inv_log[1:])))
     return theta_series.at(x) / math.log(x) + integral

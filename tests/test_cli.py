@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from chebkit import bounds, bqf, chebotarev, elliptic, explicit, progressions
@@ -74,6 +76,40 @@ def test_config_rejects_unknown_keys(tmp_path):
                       "--x", "100"])
     assert code == 2
     assert "unknown config keys" in text
+
+
+def test_config_accepts_every_flag(tmp_path):
+    # the allowed keys come from the parser, so store_true flags count too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("clamp = true\nlam = 0.1\n")
+    base = ["bounds", "--n-k", "1", "--d-k", "1", "--q-max", "5"]
+    from_config = run(["--config", str(cfg), *base])
+    assert from_config[0] == 0
+    assert from_config == run([*base, "--lam", "0.1", "--clamp"])
+
+
+def test_config_equals_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 4\na = 1\nx = 100\n")
+    assert run([f"--config={cfg}", "pi-ap"]) == run(["--config", str(cfg), "pi-ap"])
+
+
+def test_trailing_config_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        run(["pi-ap", "--q", "4", "--a", "1", "--x", "100", "--config"])
+    assert exc.value.code == 2
+
+
+def test_chebotarev_partial_sum_is_exact():
+    x, x0 = 1e6, 10.0
+    code, text = run(["chebotarev", "--cyclotomic", "7", "--class", "3",
+                      "--x", "1e6", "--x0", str(x0)])
+    assert code == 0
+    ps = primes_upto(x)
+    ext, cls = chebotarev.cyclotomic_field(7), chebotarev.ConjClass(3)
+    count = int(np.count_nonzero((ps % 7 == 3) & (ps > x0)))
+    expected = count + chebotarev.theta_class(ext, cls, x0) / math.log(x0)
+    assert json.loads(text)["partial_sum_estimate"] == pytest.approx(expected, rel=1e-9)
 
 
 def test_twelve_digit_float_formatting():

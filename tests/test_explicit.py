@@ -52,7 +52,8 @@ def test_character_series_values():
 
 
 def test_class_series_matches_character_combination():
-    for q, a in [(4, 1), (4, 3), (5, 2), (7, 3), (8, 5), (12, 7)]:
+    for q, a in [(4, 1), (4, 3), (5, 2), (7, 3), (8, 5), (12, 7), (16, 3), (32, 7),
+                 (48, 5)]:
         direct = class_log_deriv(cyclotomic_field(q), ConjClass(a), 3000)
         combo = class_log_deriv_via_characters(q, a, 3000)
         assert np.array_equal(direct.values, combo.values)

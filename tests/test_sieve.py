@@ -154,6 +154,15 @@ def test_partial_sum_recovers_count():
     assert est == pytest.approx(3.0, rel=0.01)
 
 
+def test_partial_sum_is_exact_on_prime_checkpoints():
+    # theta for the primes {5, 13, 17} with one checkpoint per jump and one
+    # at x: the step integral recovers #{4 < p <= 20} = 3 exactly
+    cps = [5.0, 13.0, 17.0, 20.0]
+    theta = np.cumsum([math.log(5), math.log(13), math.log(17), 0.0])
+    series = CountSeries(cps, theta, "theta {5,13,17}")
+    assert partial_sum_pi_from_theta(series, 4.0, 20.0) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_partial_sum_domain_errors():
     grid = np.linspace(4, 30, 10)
     series = CountSeries(grid, np.zeros(10), "zero")
