@@ -107,7 +107,12 @@ def class_share(ext: AbelianExtension, cls: ConjClass) -> float:
 
 
 def artin_class(ext: AbelianExtension, p: int) -> Optional[ConjClass]:
-    """Frobenius class of an unramified prime; None marks ramification."""
+    """Frobenius class of an unramified prime; None marks ramification.
+
+    The class depends only on p mod |disc|, and Frobenius(p)^m is the
+    class of p^m: the Kronecker symbol is completely multiplicative and
+    periodic mod |disc|, and a cyclotomic class is the residue itself.
+    """
     if ext.kind == "trivial":
         return ConjClass(FULL)
     if ext.kind == "quadratic":
@@ -116,46 +121,28 @@ def artin_class(ext: AbelianExtension, p: int) -> Optional[ConjClass]:
         if sym == 0:
             return None
         return ConjClass(SPLIT) if sym == 1 else ConjClass(INERT)
-    if p % ext.q == 0 or math.gcd(p, ext.q) != 1:
+    if math.gcd(p, ext.q) != 1:
         return None
     return ConjClass(p % ext.q)
 
 
-def _class_weights(ext: AbelianExtension, cls: ConjClass,
-                   primes: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """Indicator: does Frobenius(p)^m land in the class?  0 at ramified p."""
-    if ext.kind == "trivial":
-        return np.ones(primes.size, dtype=float)
-    if ext.kind == "quadratic":
-        disc = ext.disc
-        table = np.asarray(kronecker_table(disc, abs(disc)), dtype=np.int64)
-        sym = table[primes % abs(disc)]
-        odd = exps % 2 == 1
-        if cls.key == SPLIT:
-            # identity class: split primes at every exponent, inert at even ones
-            sel = (sym == 1) | ((sym == -1) & ~odd)
-        elif cls.key == INERT:
-            sel = (sym == -1) & odd
-        else:
-            raise DomainError(f"unknown quadratic class {cls.key!r}")
-        return sel.astype(float)
-    a, q = int(cls.key), ext.q
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"class residue {a} not coprime to {q}")
-    # p^m mod q; the prime powers with m >= 2 are few (about 550 below 1e7)
-    residues = primes % q
-    high = np.flatnonzero(exps > 1)
-    residues[high] = [pow(int(p), int(m), q) for p, m in zip(primes[high], exps[high])]
-    # a is a unit, so a match also excludes the ramified p | q
-    return (residues == a % q).astype(float)
+def _class_weights(ext: AbelianExtension, cls: ConjClass, values: np.ndarray) -> np.ndarray:
+    """Indicator: is Frobenius(p)^m in the class, for each n = p^m in
+    ``values``?  0 at ramified p.  A residue key compares mod |disc|."""
+    mod = abs(ext.disc)
+    target = cls if isinstance(cls.key, str) else ConjClass(cls.key % mod)
+    table = np.array([artin_class(ext, r) == target for r in range(mod)], dtype=float)
+    if not table.any():
+        raise DomainError(f"no Frobenius class {cls.key!r} in the {ext.kind} extension")
+    return table[values % mod]
 
 
 def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     """Weighted count sum_{p^m < x} log(p) * [Frob(p)^m in C] (strict <)."""
     if x <= 1:
         raise DomainError("psi requires x > 1")
-    values, primes, exps = prime_powers(x, strict=True)
-    w = _class_weights(ext, cls, primes, exps)
+    values, primes, _ = prime_powers(x, strict=True)
+    w = _class_weights(ext, cls, values)
     return float(np.sum(w * np.log(primes)))
 
 
@@ -169,7 +156,7 @@ def theta_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     if x <= 1:
         raise DomainError("theta requires x > 1")
     ps = _primes_below(x)
-    w = _class_weights(ext, cls, ps, np.ones(ps.size, dtype=np.int64))
+    w = _class_weights(ext, cls, ps)
     return float(np.sum(w * np.log(ps)))
 
 
@@ -177,21 +164,21 @@ def theta_series(ext: AbelianExtension, cls: ConjClass, x: float) -> CountSeries
     """theta_C as a step table: a checkpoint at each class prime p < x
     holding theta_C just past p, and a last checkpoint at x."""
     ps = _primes_below(x)
-    return _class_series(ext, cls, x, ps, ps, np.ones(ps.size, dtype=np.int64))
+    return _class_series(ext, cls, x, ps, ps)
 
 
 def pi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> int:
     """#{p <= x : p unramified, Frob(p) in C} (inclusive cutoff)."""
     ps = primes_upto(x)
-    w = _class_weights(ext, cls, ps, np.ones(ps.size, dtype=np.int64))
+    w = _class_weights(ext, cls, ps)
     return int(np.sum(w > 0))
 
 
 def _class_series(ext: AbelianExtension, cls: ConjClass, x: float, values: np.ndarray,
-                  primes: np.ndarray, exps: np.ndarray) -> CountSeries:
+                  primes: np.ndarray) -> CountSeries:
     """Cumulative class-weighted log p over ascending prime powers below x,
     closed by a checkpoint at x."""
-    w = _class_weights(ext, cls, primes, exps)
+    w = _class_weights(ext, cls, values)
     keep = w > 0
     return CountSeries(np.append(values[keep], x),
                        np.cumsum(np.append((np.log(primes) * w)[keep], 0.0)))
@@ -208,7 +195,7 @@ def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float, x: fl
     """
     if not (x > x0 > 3):
         raise DomainError("need x > x0 > 3")
-    psi = _class_series(ext, cls, x, *prime_powers(x, strict=True))
+    psi = _class_series(ext, cls, x, *prime_powers(x, strict=True)[:2])
     lhs = float(pi_class(ext, cls, x))
     rhs = partial_sum_pi_from_theta(psi, x0, x) + constant * 1.0 * x0
     return BoundReport.compare(lhs, rhs, label="pi <= smoothed psi chain")
@@ -220,10 +207,10 @@ def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass, spec: WeightSpec) 
     x = spec.x
     lo, hi = spec.support
     limit = x ** hi
-    values, primes, exps = prime_powers(limit + 1, strict=False)
+    values, primes, _ = prime_powers(limit + 1, strict=False)
     mask = values >= max(2.0, math.floor(x ** lo))
-    values, primes, exps = values[mask], primes[mask], exps[mask]
-    w = _class_weights(ext, cls, primes, exps)
+    values, primes = values[mask], primes[mask]
+    w = _class_weights(ext, cls, values)
     t = np.log(values.astype(float)) / spec.log_x
     return float(np.sum(w * np.log(primes) * weight_value(spec, t)))
 
@@ -242,8 +229,7 @@ class DensityRatioReport:
 def density_ratio_report(ext: AbelianExtension, cls: ConjClass, x: float) -> DensityRatioReport:
     count = pi_class(ext, cls, x)
     expected = class_share(ext, cls) * li(x)
-    q_like = abs(ext.disc) if ext.kind == "quadratic" else max(ext.q, 1)
-    inv = FieldInvariants(n_K=1, D_K=1.0, Q=float(max(q_like, 1)))
+    inv = FieldInvariants(n_K=1, D_K=1.0, Q=float(abs(ext.disc)))
     threshold = range_thresholds(inv).basic
     return DensityRatioReport(
         count=count,

@@ -35,7 +35,7 @@ from . import elliptic
 from . import explicit
 from . import progressions as ap
 from .errors import CapacityError, DomainError
-from .sieve import li, partial_sum_pi_from_theta, primes_upto, segmented_primes
+from .sieve import li, partial_sum_pi_from_theta
 from .weights import (WeightSpec, check_decay_bound, check_growth_bound,
                       check_left_line_bound, check_real_axis_bound,
                       laplace_transform, weight_value)
@@ -92,8 +92,9 @@ def _read_config(path: str) -> dict:
 def _cmd_weights_verify(args) -> list[dict]:
     spec = WeightSpec(x=args.x, ell=args.ell, eps=args.eps)
     rng = np.random.default_rng(args.seed)
-    rows = [{"check": "value-at-zero", "lhs": laplace_transform(spec, 0).real,
-             "rhs": 0.75, "passed": 0.5 < laplace_transform(spec, 0).real < 0.75}]
+    rows = [{"check": "value-at-zero", "s_re": 0.0, "s_im": 0.0, "alpha": 0.0,
+             "lhs": laplace_transform(spec, 0).real, "rhs": 0.75,
+             "passed": 0.5 < laplace_transform(spec, 0).real < 0.75}]
     lo, hi = spec.support
     for t in (lo - 0.01, lo, 0.5, 0.75, 1.0, hi, hi + 0.01):
         f = weight_value(spec, t)
@@ -409,23 +410,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> set[str]:
-    """Install config values as defaults on the parser tree and return the
-    destination of every flag in it.
+    """Install config values as the defaults of their flags across the
+    parser tree and return the destination of every flag in it.
 
-    Subparsers parse into a fresh namespace, so the defaults must be set on
-    each of them, and config-supplied values satisfy otherwise-required
-    flags.
+    Values stay strings, which argparse converts with each flag's own
+    ``type``; a store_true flag takes ``true`` or ``false``.  Subparsers
+    parse into a fresh namespace, so each of them gets the defaults, and
+    config-supplied values satisfy otherwise-required flags.  The shared
+    flags' after-the-subcommand copies keep SUPPRESS, so a shared flag
+    given before the subcommand still beats the config.
     """
-    parser.set_defaults(**values)
     dests = set()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 dests |= _apply_config_defaults(sub, values)
-        else:
-            dests.add(action.dest)
-            if action.dest in values:
-                action.required = False
+            continue
+        dests.add(action.dest)
+        if action.dest not in values or action.default is argparse.SUPPRESS:
+            continue
+        value = values[action.dest]
+        if action.nargs == 0:
+            if value.lower() not in ("true", "false"):
+                raise DomainError(f"config key {action.dest!r} takes true or false, "
+                                  f"not {value!r}")
+            value = value.lower() == "true"
+        action.default = value
+        action.required = False
     return dests
 
 
@@ -438,7 +449,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     cfg_path = pre.parse_known_args(argv)[0].config
     try:
         if cfg_path is not None:
-            overrides = {k: _coerce_config_value(v) for k, v in _read_config(cfg_path).items()}
+            overrides = _read_config(cfg_path)
             known = _apply_config_defaults(parser, overrides) - {"help", "config"}
             unknown = set(overrides) - known
             if unknown:
@@ -455,50 +466,12 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 2, f"error: {exc}"
 
 
-def _coerce_config_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
 def main() -> None:
     code, text = run(sys.argv[1:])
     stream = sys.stdout if code == 0 else sys.stderr
     print(text, file=stream)
     raise SystemExit(code)
 
-
-# operation coverage table: every public library operation must appear in at
-# least one subcommand's implementation (checked by the test suite)
-SUBCOMMAND_OPERATIONS = {
-    "weights-verify": (laplace_transform, weight_value, check_decay_bound,
-                       check_growth_bound, check_real_axis_bound,
-                       check_left_line_bound),
-    "bounds": (bounds_mod.log_complexity, bounds_mod.density_bound,
-               bounds_mod.low_lying_density_bound, bounds_mod.repulsion_threshold,
-               bounds_mod.deuring_heilbronn_exclusion,
-               bounds_mod.brun_titchmarsh_constant, bounds_mod.range_thresholds,
-               bounds_mod.extension_complexity),
-    "pi-ap": (ap.pi_ap, ap.euler_phi, primes_upto, segmented_primes,
-              ap.montgomery_vaughan_check, ap.maynard_check),
-    "bt-check": (ap.montgomery_vaughan_check, ap.maynard_check, ap.residue_counts),
-    "bqf": (bqf_mod.reduce_form, bqf_mod.class_number, bqf_mod.delta_q,
-            bqf_mod.count_represented_primes, bqf_mod.representation_density_report, li),
-    "chebotarev": (cheb.artin_class, cheb.psi_class, cheb.theta_class,
-                   cheb.theta_series, cheb.pi_class, cheb.counting_chain_check,
-                   cheb.density_ratio_report, partial_sum_pi_from_theta),
-    "mellin-check": (cheb.weighted_prime_sum, explicit.zeta_log_deriv,
-                     explicit.class_log_deriv, explicit.character_log_deriv,
-                     explicit.contour_sum, explicit.tail_bound),
-    "lang-trotter": (elliptic.trace_of_frobenius, elliptic.trace_match_count,
-                     elliptic.frobenius_field_count, elliptic.growth_shape_report,
-                     elliptic.read_curves),
-}
 
 if __name__ == "__main__":
     main()

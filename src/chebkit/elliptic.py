@@ -103,8 +103,6 @@ def _ec_add(P, Q, A: int, p: int):
 
 
 def _ec_mul(k: int, P, A: int, p: int):
-    if k < 0:
-        k, P = -k, _ec_neg(P, p)
     R = None
     while k:
         if k & 1:
@@ -112,12 +110,6 @@ def _ec_mul(k: int, P, A: int, p: int):
         P = _ec_add(P, P, A, p)
         k >>= 1
     return R
-
-
-def _ec_neg(P, p: int):
-    if P is None:
-        return None
-    return (P[0], (-P[1]) % p)
 
 
 def _trace_charsum(curve: CurveModel, p: int) -> int:

@@ -111,11 +111,11 @@ def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
 def class_log_deriv(ext: AbelianExtension, cls: ConjClass, n_max: int) -> LogDerivSeries:
     """Coefficients Lambda(n) * [Frobenius class indicator]; identical to
     the weighting used by the direct counters."""
-    values, primes, exps = prime_powers(n_max, strict=False)
-    w = _class_weights(ext, cls, primes, exps)
+    values, primes, _ = prime_powers(n_max, strict=False)
+    w = _class_weights(ext, cls, values)
     keep = w > 0
     label = f"{ext.kind} class {cls.key}"
-    return LogDerivSeries(modulus=max(abs(ext.disc), 1), values=values[keep],
+    return LogDerivSeries(modulus=abs(ext.disc), values=values[keep],
                           coeffs=(np.log(primes) * w)[keep].astype(complex),
                           n_max=n_max, label=label)
 
@@ -243,21 +243,17 @@ def contour_sum(series: LogDerivSeries, spec: WeightSpec, t_max: float,
     steps += steps % 2  # even count so the coarse grid uses every 2nd node
     fine, h = np.linspace(0.0, t_max, 2 * steps + 1, retstep=True)
 
-    def integrate(t):
-        z = -(sigma0 + 1j * t) * spec.log_x
-        vals = line.evaluate(t) * laplace_transform(spec, z)
-        if line.is_real and not force_full_line:
-            half = np.trapezoid(vals, dx=float(t[1] - t[0]))
-            return (spec.log_x / math.pi) * half
+    vals = line.evaluate(fine) * laplace_transform(spec, -(sigma0 + 1j * fine) * spec.log_x)
+    if line.is_real and not force_full_line:
+        scale = spec.log_x / math.pi
+    else:
         # no conjugate symmetry: integrate both half-lines explicitly
         # (their trapezoid endpoint halves at t = 0 add to full weight)
-        zneg = -(sigma0 - 1j * t) * spec.log_x
-        vneg = line.evaluate(-t) * laplace_transform(spec, zneg)
-        half = np.trapezoid(vals + vneg, dx=float(t[1] - t[0]))
-        return (spec.log_x / (2.0 * math.pi)) * half
-
-    s_fine = integrate(fine)
-    s_coarse = integrate(fine[::2])
+        vals = vals + line.evaluate(-fine) * laplace_transform(
+            spec, -(sigma0 - 1j * fine) * spec.log_x)
+        scale = spec.log_x / (2.0 * math.pi)
+    s_fine = scale * np.trapezoid(vals, dx=float(fine[1] - fine[0]))
+    s_coarse = scale * np.trapezoid(vals[::2], dx=float(fine[2] - fine[0]))
     quad_error = abs(s_fine - s_coarse) / 3.0
 
     # prime powers the weight can see but the series does not carry

@@ -122,9 +122,10 @@ def primes_upto(n: int | float) -> np.ndarray:
     n = int(math.floor(n))
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    # round the cache key up so repeated nearby requests share one sieve
-    key = 1 << max(10, n.bit_length())
-    primes = _primes_upto_cached(int(key))
+    # round the cache key up so repeated nearby requests share one sieve,
+    # but never past the default budget that a request below it fits in
+    key = min(1 << max(10, n.bit_length()), max(n, DEFAULT_MEMORY_BUDGET - 1))
+    primes = _primes_upto_cached(key)
     return primes[: int(np.searchsorted(primes, n, side="right"))]
 
 

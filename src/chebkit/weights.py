@@ -124,10 +124,10 @@ def weight_value(spec: WeightSpec, t: float | np.ndarray) -> float | np.ndarray:
     return float(f) if scalar else f
 
 
-def _grid_samples(spec: WeightSpec, steps_per_kernel: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _grid_samples(spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
     """Iterated box-kernel convolution of the inner indicator on a uniform grid."""
     ell, A = spec.ell, spec.A
-    k = steps_per_kernel or 2 * max(1, round(128 / ell))  # ~ step (eps/log x)/256
+    k = 2 * max(1, round(128 / ell))  # ~ step (eps/log x)/256
     h = 2.0 * A / k
     lo = 0.5 - 2 * ell * A - 2 * h
     hi = 1.0 + 2 * ell * A + 2 * h

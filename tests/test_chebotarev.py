@@ -228,3 +228,22 @@ def test_density_ratio_tiny_x_flags_range():
     r = density_ratio_report(cyclotomic_field(5), ConjClass(2), 10.0)
     assert not r.in_proven_range
     assert r.count == 2  # p = 2 and p = 7 are the residues = 2 mod 5 up to 10
+
+
+@pytest.mark.parametrize("ext,key", [
+    (quadratic_field(-1), FULL),
+    (quadratic_field(5), 1),
+    (cyclotomic_field(10), 5),
+    (cyclotomic_field(7), SPLIT),
+    (trivial_extension(), SPLIT),
+    (trivial_extension(), 1),
+])
+def test_class_outside_the_extension_raises(ext, key):
+    with pytest.raises(DomainError):
+        pi_class(ext, ConjClass(key), 100)
+
+
+def test_cyclotomic_class_keys_compare_mod_q():
+    c5 = cyclotomic_field(5)
+    assert psi_class(c5, ConjClass(12), 1000) == psi_class(c5, ConjClass(2), 1000)
+    assert pi_class(c5, ConjClass(-1), 1000) == pi_class(c5, ConjClass(4), 1000)

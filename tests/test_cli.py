@@ -1,13 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chebkit import bounds, bqf, chebotarev, elliptic, explicit, progressions
-from chebkit.cli import SUBCOMMAND_OPERATIONS, SUBCOMMANDS, build_parser, run
+from chebkit.cli import SUBCOMMANDS, build_parser, run
 from chebkit.sieve import li, partial_sum_pi_from_theta, primes_upto, segmented_primes
 from chebkit.weights import (check_decay_bound, check_growth_bound,
                              check_left_line_bound, check_real_axis_bound,
@@ -88,6 +90,37 @@ def test_config_accepts_every_flag(tmp_path):
     assert from_config == run([*base, "--lam", "0.1", "--clamp"])
 
 
+def test_config_values_take_the_flag_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 4\na = 1\nx = 100\n")
+    assert run(["--config", str(cfg), "pi-ap"]) == run(
+        ["pi-ap", "--q", "4", "--a", "1", "--x", "100"])
+    cfg.write_text("checkpoints = 1000,2000\n")
+    bqf_argv = ["bqf", "--D", "4", "--x", "2000", "--form", "1,0,1"]
+    from_config = run(["--config", str(cfg), *bqf_argv])
+    assert from_config[0] == 0
+    assert from_config == run([*bqf_argv, "--checkpoints", "1000,2000"])
+
+
+def test_config_store_true_takes_true_or_false(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    base = ["bounds", "--n-k", "1", "--d-k", "1", "--q-max", "5", "--lam", "0.1"]
+    cfg.write_text("clamp = false\n")
+    assert run(["--config", str(cfg), *base]) == run(base)
+    cfg.write_text("clamp = yes\n")
+    code, text = run(["--config", str(cfg), *base])
+    assert code == 2
+    assert "true or false" in text
+
+
+def test_shared_flag_before_subcommand_beats_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 4\na = 1\nx = 100\nformat = csv\n")
+    code, text = run(["--format", "json", "--config", str(cfg), "pi-ap"])
+    assert code == 0
+    assert json.loads(text)["count"] == 11
+
+
 def test_config_equals_form(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("q = 4\na = 1\nx = 100\n")
@@ -153,28 +186,47 @@ def test_memory_budget_enforced():
     assert "memory budget" in text
 
 
+SAMPLES = {
+    "weights-verify": ["--x", "100", "--ell", "2", "--eps", "0.1",
+                       "--samples", "5"],
+    "bounds": ["--n-k", "1", "--d-k", "1", "--q-max", "5", "--lambda1",
+               "0.05", "--beta1", "0.999", "--t-height", "1", "--sigma",
+               "0.5", "--lam", "0.1", "--theta", "0.3"],
+    "pi-ap": ["--q", "7", "--a", "3", "--x", "1000"],
+    "bt-check": ["--q", "12", "--x", "10000"],
+    "bqf": ["--D", "4", "--x", "1000", "--form", "1,0,1"],
+    "chebotarev": ["--cyclotomic", "5", "--class", "2", "--x", "1000"],
+    "mellin-check": ["--q", "1", "--x", "50", "--ell", "2", "--t-max", "50"],
+    "lang-trotter": ["--curve", "1,1", "--mode", "trace", "--a", "0",
+                     "--x", "500"],
+}
+
+
 def test_every_subcommand_runs():
-    samples = {
-        "weights-verify": ["--x", "100", "--ell", "2", "--eps", "0.1",
-                           "--samples", "5"],
-        "bounds": ["--n-k", "1", "--d-k", "1", "--q-max", "5", "--lambda1",
-                   "0.05", "--beta1", "0.999", "--t-height", "1", "--sigma",
-                   "0.5", "--lam", "0.1", "--theta", "0.3"],
-        "pi-ap": ["--q", "7", "--a", "3", "--x", "1000"],
-        "bt-check": ["--q", "12", "--x", "10000"],
-        "bqf": ["--D", "4", "--x", "1000", "--form", "1,0,1"],
-        "chebotarev": ["--cyclotomic", "5", "--class", "2", "--x", "1000"],
-        "mellin-check": ["--q", "1", "--x", "50", "--ell", "2", "--t-max", "50"],
-        "lang-trotter": ["--curve", "1,1", "--mode", "trace", "--a", "0",
-                         "--x", "500"],
-    }
-    assert set(samples) == set(SUBCOMMANDS)
-    for cmd, argv in samples.items():
+    assert set(SAMPLES) == set(SUBCOMMANDS)
+    for cmd, argv in SAMPLES.items():
         code, text = run([cmd, *argv])
         assert code == 0, (cmd, text)
 
 
-def test_operation_coverage_table():
+# Runs CLI invocations under a profiler and prints every Python function
+# entered, as (file, first line) pairs.
+_TRACE_SCRIPT = """
+import json, sys
+from chebkit.cli import run
+seen, codes = set(), []
+def record(frame, event, arg):
+    if event == "call":
+        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(record)
+for argv in json.loads(sys.argv[1]):
+    codes.append(run(argv)[0])
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(seen)}))
+"""
+
+
+def test_operation_coverage_table(tmp_path):
     # every public operation of every module must be reachable from at
     # least one subcommand
     required = {
@@ -197,7 +249,24 @@ def test_operation_coverage_table():
         elliptic.frobenius_field_count, elliptic.growth_shape_report,
         elliptic.read_curves,
     }
-    covered = {op for ops in SUBCOMMAND_OPERATIONS.values() for op in ops}
-    missing = {op.__name__ for op in required - covered}
+    # trace a fresh interpreter: in a warm one the sieve and trace-table
+    # caches would skip the calls that fill them
+    curves = tmp_path / "curves.txt"
+    curves.write_text("1 1\n")
+    invocations = [[cmd, *argv] for cmd, argv in SAMPLES.items()] + [
+        ["mellin-check", "--q", "5", "--residue", "2", "--x", "50", "--t-max", "50"],
+        ["mellin-check", "--q", "5", "--char-index", "1", "--x", "50", "--t-max", "50"],
+        ["lang-trotter", "--curve", "1,1", "--mode", "field", "--disc", "-3", "--x", "500"],
+        ["lang-trotter", "--curves-file", str(curves), "--mode", "trace", "--x", "500"],
+    ]
+    src = str(Path(chebotarev.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _TRACE_SCRIPT, json.dumps(invocations)],
+                          capture_output=True, text=True, env=env, check=True)
+    traced = json.loads(proc.stdout)
+    assert traced["codes"] == [0] * len(invocations)
+    called = {tuple(site) for site in traced["called"]}
+    missing = {op.__name__ for op in required
+               if (op.__code__.co_filename, op.__code__.co_firstlineno) not in called}
     assert not missing, f"operations unreachable from the CLI: {missing}"
-    assert set(SUBCOMMAND_OPERATIONS) == set(SUBCOMMANDS)

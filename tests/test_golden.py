@@ -31,6 +31,9 @@ CASES = {
     "bt-check-1e7": ["bt-check", "--q", "17", "--x", "1e7"],
     "bqf-1e6": ["bqf", "--D", "23", "--x", "1e6", "--form", "2,1,3"],
     "chebotarev-1e6": ["chebotarev", "--cyclotomic", "12", "--class", "5", "--x", "1e6"],
+    "chebotarev-quadratic": ["chebotarev", "--d", "-1", "--class", "split", "--x", "1e6"],
+    "mellin-check-residue": ["mellin-check", "--q", "5", "--residue", "2", "--x", "300"],
+    "mellin-check-char": ["mellin-check", "--q", "5", "--char-index", "1", "--x", "300"],
 }
 
 
@@ -40,11 +43,7 @@ def report_bytes(argv: list[str], fmt: str) -> bytes:
     return (text + "\n").encode()
 
 
-# weights-verify has no CSV golden: its rows do not share one set of
-# columns, so the CSV writer refuses them, naming the extra columns in
-# hash order.
-GOLDENS = [(name, fmt) for name in sorted(CASES) for fmt in ("json", "csv")
-           if (name, fmt) != ("weights-verify", "csv")]
+GOLDENS = [(name, fmt) for name in sorted(CASES) for fmt in ("json", "csv")]
 
 
 @pytest.mark.parametrize("name,fmt", GOLDENS)

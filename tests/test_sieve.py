@@ -6,6 +6,7 @@ import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebkit import sieve
 from chebkit.errors import CapacityError, DomainError
 from chebkit.sieve import (CountSeries, li, partial_sum_pi_from_theta,
                            prime_powers, primes_upto, segmented_primes,
@@ -98,6 +99,21 @@ def test_memory_budget_enforced():
 
 def test_primes_upto_consistent_with_simple_sieve():
     assert np.array_equal(primes_upto(10_000), simple_sieve(10_000))
+
+
+def test_primes_upto_cache_key_stays_inside_default_budget(monkeypatch):
+    keys = []
+
+    def fake_cached(n):
+        keys.append(n)
+        return np.array([2, 3, 5], dtype=np.int64)
+
+    monkeypatch.setattr(sieve, "_primes_upto_cached", fake_cached)
+    primes_upto(1000)
+    primes_upto(2**32 + 1)
+    primes_upto(sieve.DEFAULT_MEMORY_BUDGET + 5)
+    # the sieve runs to key + 1, which must fit the budget when n does
+    assert keys == [1024, sieve.DEFAULT_MEMORY_BUDGET - 1, sieve.DEFAULT_MEMORY_BUDGET + 5]
 
 
 # ----------------------------------------------------------- prime powers
