@@ -37,8 +37,8 @@ from .explicit import (LogDerivSeries, character_log_deriv, class_log_deriv,
 from .progressions import (APQuery, euler_phi, maynard_check,
                            montgomery_vaughan_check, pi_ap, residue_counts)
 from .reports import BoundReport, PowerValue
-from .sieve import (CountSeries, PrimeRange, li, partial_sum_pi_from_theta,
-                    prime_powers, primes_upto, segmented_primes)
+from .sieve import (CountSeries, li, partial_sum_pi_from_theta, prime_powers,
+                    primes_upto, segmented_primes)
 from .weights import (WeightSpec, check_decay_bound, check_growth_bound,
                       check_left_line_bound, check_real_axis_bound,
                       laplace_transform, laplace_transform_quadrature,

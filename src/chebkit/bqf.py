@@ -154,13 +154,9 @@ def count_represented_primes(form: ReducedForm, x: int,
     x = int(x)
     rep = represented_values(form, x)
     ps = primes_upto(x)
-    rep_primes = ps[rep[ps]]
-    if checkpoints is None:
-        checkpoints = [x]
-    cps = np.asarray(checkpoints, dtype=float)
-    counts = np.searchsorted(rep_primes, cps, side="right")
-    label = f"primes represented by ({form.a},{form.b},{form.c}), disc -{form.D}"
-    return CountSeries(checkpoints=cps, counts=counts.astype(float), label=label)
+    return CountSeries.of_hits(
+        ps[rep[ps]], x, checkpoints,
+        f"primes represented by ({form.a},{form.b},{form.c}), disc -{form.D}")
 
 
 @dataclass(frozen=True)

@@ -126,24 +126,25 @@ def artin_class(ext: AbelianExtension, p: int) -> Optional[ConjClass]:
     return ConjClass(p % ext.q)
 
 
-def _class_weights(ext: AbelianExtension, cls: ConjClass, values: np.ndarray) -> np.ndarray:
-    """Indicator: is Frobenius(p)^m in the class, for each n = p^m in
-    ``values``?  0 at ramified p.  A residue key compares mod |disc|."""
+def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
+                 primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n = p^m in ``values`` (p the matching entry of ``primes``) with
+    Frobenius(p)^m in the class, and their log p.  Ramified p never match;
+    a residue key compares mod |disc|."""
     mod = abs(ext.disc)
     target = cls if isinstance(cls.key, str) else ConjClass(cls.key % mod)
-    table = np.array([artin_class(ext, r) == target for r in range(mod)], dtype=float)
+    table = np.array([artin_class(ext, r) == target for r in range(mod)])
     if not table.any():
         raise DomainError(f"no Frobenius class {cls.key!r} in the {ext.kind} extension")
-    return table[values % mod]
+    hit = np.flatnonzero(table[values % mod])  # a take beats a boolean mask here
+    return values[hit], np.log(primes[hit])
 
 
 def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     """Weighted count sum_{p^m < x} log(p) * [Frob(p)^m in C] (strict <)."""
     if x <= 1:
         raise DomainError("psi requires x > 1")
-    values, primes, _ = prime_powers(x, strict=True)
-    w = _class_weights(ext, cls, values)
-    return float(np.sum(w * np.log(primes)))
+    return float(np.sum(_class_terms(ext, cls, *prime_powers(x, strict=True)[:2])[1]))
 
 
 def _primes_below(x: float) -> np.ndarray:
@@ -156,8 +157,7 @@ def theta_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     if x <= 1:
         raise DomainError("theta requires x > 1")
     ps = _primes_below(x)
-    w = _class_weights(ext, cls, ps)
-    return float(np.sum(w * np.log(ps)))
+    return float(np.sum(_class_terms(ext, cls, ps, ps)[1]))
 
 
 def theta_series(ext: AbelianExtension, cls: ConjClass, x: float) -> CountSeries:
@@ -170,18 +170,15 @@ def theta_series(ext: AbelianExtension, cls: ConjClass, x: float) -> CountSeries
 def pi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> int:
     """#{p <= x : p unramified, Frob(p) in C} (inclusive cutoff)."""
     ps = primes_upto(x)
-    w = _class_weights(ext, cls, ps)
-    return int(np.sum(w > 0))
+    return int(_class_terms(ext, cls, ps, ps)[0].size)
 
 
 def _class_series(ext: AbelianExtension, cls: ConjClass, x: float, values: np.ndarray,
                   primes: np.ndarray) -> CountSeries:
     """Cumulative class-weighted log p over ascending prime powers below x,
     closed by a checkpoint at x."""
-    w = _class_weights(ext, cls, values)
-    keep = w > 0
-    return CountSeries(np.append(values[keep], x),
-                       np.cumsum(np.append((np.log(primes) * w)[keep], 0.0)))
+    kept, logp = _class_terms(ext, cls, values, primes)
+    return CountSeries(np.append(kept, x), np.cumsum(np.append(logp, 0.0)))
 
 
 def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float, x: float,
@@ -209,10 +206,9 @@ def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass, spec: WeightSpec) 
     limit = x ** hi
     values, primes, _ = prime_powers(limit + 1, strict=False)
     mask = values >= max(2.0, math.floor(x ** lo))
-    values, primes = values[mask], primes[mask]
-    w = _class_weights(ext, cls, values)
-    t = np.log(values.astype(float)) / spec.log_x
-    return float(np.sum(w * np.log(primes) * weight_value(spec, t)))
+    kept, logp = _class_terms(ext, cls, values[mask], primes[mask])
+    t = np.log(kept.astype(float)) / spec.log_x
+    return float(np.sum(logp * weight_value(spec, t)))
 
 
 @dataclass(frozen=True)

@@ -204,37 +204,27 @@ _TRACE_CACHE: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]] = {}
 
 
 def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(good primes <= x, their traces), cached per curve."""
+    """(good primes <= x, their traces), cached per curve.  A query past
+    the cached horizon traces only the primes beyond it."""
     key = (curve.A, curve.B)
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None and cached[0] >= x:
-        ps, aps = cached[1], cached[2]
-        keep = ps <= x
-        return ps[keep], aps[keep]
-    ps_all = primes_upto(x)
-    ps, aps = [], []
-    for p in ps_all:
-        p = int(p)
-        if not curve.has_good_reduction(p):
-            continue
-        rec = trace_of_frobenius(curve, p)
-        ps.append(p)
-        aps.append(rec.a_p)
-    ps_arr = np.array(ps, dtype=np.int64)
-    aps_arr = np.array(aps, dtype=np.int64)
-    _TRACE_CACHE[key] = (x, ps_arr, aps_arr)
-    return ps_arr, aps_arr
+    empty = np.empty(0, dtype=np.int64)
+    top, ps, aps = _TRACE_CACHE.get(key, (1, empty, empty))
+    if x > top:
+        fresh = [p for p in map(int, primes_upto(x)) if p > top and curve.has_good_reduction(p)]
+        ps = np.concatenate((ps, np.array(fresh, dtype=np.int64)))
+        aps = np.concatenate((aps, np.array([trace_of_frobenius(curve, p).a_p for p in fresh],
+                                            dtype=np.int64)))
+        _TRACE_CACHE[key] = (x, ps, aps)
+    keep = ps <= x
+    return ps[keep], aps[keep]
 
 
 def trace_match_count(curve: CurveModel, a: int, x: int,
                       checkpoints=None) -> CountSeries:
     """Counting series for #{good p <= t : a_p = a} at the checkpoints."""
     ps, aps = trace_table(curve, int(x))
-    hits = ps[aps == a]
-    cps = np.asarray([x] if checkpoints is None else checkpoints, dtype=float)
-    counts = np.searchsorted(hits, cps, side="right").astype(float)
-    return CountSeries(checkpoints=cps, counts=counts,
-                       label=f"a_p = {a} on y^2=x^3+{curve.A}x+{curve.B}")
+    return CountSeries.of_hits(ps[aps == a], x, checkpoints,
+                               f"a_p = {a} on y^2=x^3+{curve.A}x+{curve.B}")
 
 
 def frobenius_field_count(curve: CurveModel, D_k: int, x: int,
@@ -250,10 +240,7 @@ def frobenius_field_count(curve: CurveModel, D_k: int, x: int,
     vals = aps.astype(object) * aps - 4 * ps.astype(object)
     hits = np.array([int(p) for p, v in zip(ps, vals)
                      if squarefree_kernel(int(v)) == kernel], dtype=np.int64)
-    cps = np.asarray([x] if checkpoints is None else checkpoints, dtype=float)
-    counts = np.searchsorted(hits, cps, side="right").astype(float)
-    return CountSeries(checkpoints=cps, counts=counts,
-                       label=f"Frobenius field kernel {kernel}")
+    return CountSeries.of_hits(hits, x, checkpoints, f"Frobenius field kernel {kernel}")
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebotarev import AbelianExtension, ConjClass, _class_weights
+from .chebotarev import AbelianExtension, ConjClass, _class_terms
 from .characters import character_table
 from .errors import DomainError
 from .sieve import prime_powers
 from .weights import WeightSpec, laplace_transform
 
-_T_CHUNK = 16384
+# complex entries of one exp(-i t log n) block in LogDerivSeries.evaluate
+_EVAL_ENTRIES = 2**22
 
 # the abscissa search interval and its golden-section step count
 _SIGMA_RANGE = (0.01, 2.0)
@@ -42,12 +43,10 @@ class LogDerivSeries:
     """Truncated Dirichlet series sum_n c_n n^{-s} with c_n supported on
     prime powers (c_n = Lambda(n) * character or class weight)."""
 
-    modulus: int
     values: np.ndarray    # n with a nonzero coefficient, ascending
     coeffs: np.ndarray    # complex coefficients
     n_max: int
     sigma0: float = 2.0
-    label: str = ""
 
     @property
     def z_sup(self) -> float:
@@ -71,24 +70,23 @@ class LogDerivSeries:
         return 2.0 * math.log(max(self.n_max, 3)) / max(self.n_max, 3)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Z(sigma0 + i t) on a grid, chunked to bound memory."""
+        """Z(sigma0 + i t) on a grid, in blocks of about _EVAL_ENTRIES
+        matrix entries whatever the number of terms, to bound memory."""
         if self.values.size == 0:
             return np.zeros(t.size, dtype=complex)
         logn = np.log(self.values.astype(float))
         amp = self.coeffs * self.values.astype(float) ** -self.sigma0
         out = np.empty(t.size, dtype=complex)
-        for i in range(0, t.size, _T_CHUNK):
-            block = t[i: i + _T_CHUNK]
-            out[i: i + _T_CHUNK] = np.exp(-1j * np.outer(block, logn)) @ amp
+        rows = max(1, _EVAL_ENTRIES // logn.size)
+        for i in range(0, t.size, rows):
+            out[i: i + rows] = np.exp(-1j * np.outer(t[i: i + rows], logn)) @ amp
         return out
 
 
 def zeta_log_deriv(n_max: int) -> LogDerivSeries:
-    """Coefficients Lambda(n): the full prime-power series (modulus 1)."""
+    """Coefficients Lambda(n): the full prime-power series."""
     values, primes, _ = prime_powers(n_max, strict=False)
-    return LogDerivSeries(modulus=1, values=values,
-                          coeffs=np.log(primes).astype(complex),
-                          n_max=n_max, label="zeta")
+    return LogDerivSeries(values=values, coeffs=np.log(primes).astype(complex), n_max=n_max)
 
 
 def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
@@ -103,21 +101,15 @@ def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
     values, primes, _ = prime_powers(n_max, strict=False)
     chi = table[char_index][values % q]
     keep = chi != 0
-    return LogDerivSeries(modulus=q, values=values[keep],
-                          coeffs=(np.log(primes) * chi)[keep],
-                          n_max=n_max, label=f"chi_{q}[{char_index}]")
+    return LogDerivSeries(values=values[keep], coeffs=(np.log(primes) * chi)[keep],
+                          n_max=n_max)
 
 
 def class_log_deriv(ext: AbelianExtension, cls: ConjClass, n_max: int) -> LogDerivSeries:
     """Coefficients Lambda(n) * [Frobenius class indicator]; identical to
     the weighting used by the direct counters."""
-    values, primes, _ = prime_powers(n_max, strict=False)
-    w = _class_weights(ext, cls, values)
-    keep = w > 0
-    label = f"{ext.kind} class {cls.key}"
-    return LogDerivSeries(modulus=abs(ext.disc), values=values[keep],
-                          coeffs=(np.log(primes) * w)[keep].astype(complex),
-                          n_max=n_max, label=label)
+    kept, logp = _class_terms(ext, cls, *prime_powers(n_max, strict=False)[:2])
+    return LogDerivSeries(values=kept, coeffs=logp.astype(complex), n_max=n_max)
 
 
 def class_log_deriv_via_characters(q: int, residue: int, n_max: int) -> LogDerivSeries:
@@ -134,8 +126,7 @@ def class_log_deriv_via_characters(q: int, residue: int, n_max: int) -> LogDeriv
     coeffs = np.log(primes) * combo
     # true coefficients are at least log 2; anything tiny is cancellation dust
     keep = np.abs(coeffs) > 1e-9
-    return LogDerivSeries(modulus=q, values=values[keep], coeffs=coeffs[keep],
-                          n_max=n_max, label=f"class {residue} mod {q}")
+    return LogDerivSeries(values=values[keep], coeffs=coeffs[keep], n_max=n_max)
 
 
 def support_cap(spec: WeightSpec) -> int:

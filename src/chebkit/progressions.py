@@ -68,19 +68,27 @@ def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.nda
     return np.bincount(ps % q, minlength=q).astype(np.int64)
 
 
-def montgomery_vaughan_check(query: APQuery, primes: np.ndarray | None = None) -> BoundReport:
-    """Brun-Titchmarsh in Montgomery-Vaughan form:
-
-        pi(x; q, a) <= 2/(1-theta) * x/(phi(q) log x),   theta = log q/log x.
-    """
+def _bt_compare(query: APQuery, primes: np.ndarray | None, coefficient, label: str,
+                **report) -> BoundReport:
+    """pi(x; q, a) against coefficient(theta) * x/(phi(q) log x), where
+    theta = log q/log x; shared by the two Brun-Titchmarsh checks."""
     if query.q < 2:
         raise DomainError("check requires q >= 2")
     if query.x <= query.q:
         raise DomainError("check requires x > q so that theta < 1")
     theta = math.log(query.q) / math.log(query.x)
     lhs = pi_ap(query, primes)
-    rhs = 2.0 / (1.0 - theta) * query.x / (euler_phi(query.q) * math.log(query.x))
-    return BoundReport.compare(float(lhs), rhs, label="montgomery-vaughan")
+    rhs = coefficient(theta) * query.x / (euler_phi(query.q) * math.log(query.x))
+    return BoundReport.compare(float(lhs), rhs, label=label, **report)
+
+
+def montgomery_vaughan_check(query: APQuery, primes: np.ndarray | None = None) -> BoundReport:
+    """Brun-Titchmarsh in Montgomery-Vaughan form:
+
+        pi(x; q, a) <= 2/(1-theta) * x/(phi(q) log x),   theta = log q/log x.
+    """
+    return _bt_compare(query, primes, lambda theta: 2.0 / (1.0 - theta),
+                       "montgomery-vaughan")
 
 
 def maynard_check(query: APQuery, slack: float = 0.1,
@@ -90,14 +98,6 @@ def maynard_check(query: APQuery, slack: float = 0.1,
     The o(1) term has no stated rate, so ``slack`` stands in for it and
     the report is marked heuristic.
     """
-    if query.q < 2:
-        raise DomainError("check requires q >= 2")
-    if query.x <= query.q:
-        raise DomainError("check requires x > q so that theta < 1")
-    theta = math.log(query.q) / math.log(query.x)
-    lhs = pi_ap(query, primes)
-    rhs = (brun_titchmarsh_constant(theta) + slack) * query.x / (
-        euler_phi(query.q) * math.log(query.x))
-    return BoundReport.compare(float(lhs), rhs, label="piecewise-constant BT",
-                               heuristic=True,
-                               notes="o(1) replaced by fixed slack")
+    return _bt_compare(query, primes, lambda theta: brun_titchmarsh_constant(theta) + slack,
+                       "piecewise-constant BT", heuristic=True,
+                       notes="o(1) replaced by fixed slack")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,22 +18,6 @@ from .errors import CapacityError, DomainError
 # Desk-scale guard: segmented_primes refuses ranges beyond this unless the
 # caller raises the budget explicitly.
 DEFAULT_MEMORY_BUDGET = 2**33
-
-
-@dataclass(frozen=True)
-class PrimeRange:
-    """Ascending primes in the half-open interval [lo, hi)."""
-
-    lo: int
-    hi: int
-    primes: np.ndarray
-
-    def __post_init__(self):
-        if self.lo < 2 or self.hi < self.lo:
-            raise DomainError(f"need 2 <= lo <= hi, got [{self.lo}, {self.hi})")
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
 
 
 @dataclass(frozen=True)
@@ -60,6 +43,13 @@ class CountSeries:
         if cts.size and np.any(np.diff(cts) < -tol):
             raise DomainError(f"counts must be monotone nondecreasing ({self.label!r})")
 
+    @classmethod
+    def of_hits(cls, hits: np.ndarray, x: float, checkpoints=None,
+                label: str = "") -> CountSeries:
+        """Count the ascending ``hits`` <= each checkpoint (default: x alone)."""
+        cps = np.asarray([x] if checkpoints is None else checkpoints, dtype=float)
+        return cls(cps, np.searchsorted(hits, cps, side="right").astype(float), label)
+
     def at(self, x: float) -> float:
         """Step-function value: count at the largest checkpoint <= x."""
         i = int(np.searchsorted(self.checkpoints, x, side="right")) - 1
@@ -81,8 +71,8 @@ def simple_sieve(n: int) -> np.ndarray:
 
 
 def segmented_primes(lo: int, hi: int, segment_size: int = 2**20, *,
-                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeRange:
-    """Exact list of primes in [lo, hi) via a segmented Eratosthenes sieve.
+                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
+    """Ascending int64 primes in [lo, hi) via a segmented Eratosthenes sieve.
 
     The interval is cut into ``segment_size`` blocks, each sieved
     independently with the base primes up to sqrt(hi); results are merged
@@ -93,7 +83,7 @@ def segmented_primes(lo: int, hi: int, segment_size: int = 2**20, *,
     if segment_size < 2**10:
         raise DomainError("segment_size must be at least 2**10")
     if hi <= lo:
-        return PrimeRange(lo, max(hi, lo), np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
     if hi > memory_budget:
         raise CapacityError(f"hi={hi} exceeds memory budget {memory_budget}")
     base = simple_sieve(math.isqrt(hi - 1))
@@ -108,24 +98,24 @@ def segmented_primes(lo: int, hi: int, segment_size: int = 2**20, *,
                 continue
             mask[first - start:: p] = False
         chunks.append(np.nonzero(mask)[0].astype(np.int64) + start)
-    primes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return PrimeRange(lo, hi, primes)
+    return np.concatenate(chunks)
 
 
-@lru_cache(maxsize=8)
-def _primes_upto_cached(n: int) -> np.ndarray:
-    return segmented_primes(2, n + 1).primes
+# (top, the primes <= top): replaced whole, never mutated, so a reader
+# always sees a table consistent with its own top
+_table = (1, np.empty(0, dtype=np.int64))
 
 
 def primes_upto(n: int | float) -> np.ndarray:
-    """Primes <= n, cached for reuse across counting calls (do not mutate)."""
+    """Primes <= n, served from one table of the primes up to the largest
+    n asked for so far (do not mutate).  A larger n sieves only the
+    window past the table's top."""
+    global _table
     n = int(math.floor(n))
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    # round the cache key up so repeated nearby requests share one sieve,
-    # but never past the default budget that a request below it fits in
-    key = min(1 << max(10, n.bit_length()), max(n, DEFAULT_MEMORY_BUDGET - 1))
-    primes = _primes_upto_cached(key)
+    top, primes = _table
+    if n > top:
+        primes = np.concatenate((primes, segmented_primes(top + 1, n + 1)))
+        _table = (n, primes)
     return primes[: int(np.searchsorted(primes, n, side="right"))]
 
 

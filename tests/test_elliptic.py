@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chebkit import elliptic
 from chebkit.arith import factorize, squarefree_kernel
 from chebkit.elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                               growth_shape_report, read_curves, trace_match_count,
@@ -88,6 +89,29 @@ def test_disc_part_is_negative_squarefree():
         assert rec.disc_part < 0
         assert all(e == 1 for e in factorize(rec.disc_part).values())
         assert squarefree_kernel(int(a) ** 2 - 4 * int(p)) == rec.disc_part
+
+
+def test_grown_trace_table_equals_cold_and_traces_only_new_primes(monkeypatch):
+    E = CurveModel(-7, 10)  # bad reduction at 2 and 83
+    monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
+    cold = trace_table(E, 12_000)
+    elliptic._TRACE_CACHE.clear()
+    traced = []
+
+    def recording(curve, p, method="auto"):
+        traced.append(p)
+        return trace_of_frobenius(curve, p, method)
+
+    monkeypatch.setattr(elliptic, "trace_of_frobenius", recording)
+    first = trace_table(E, 3_000)
+    assert traced == first[0].tolist() and 83 not in traced
+    traced.clear()
+    assert np.array_equal(trace_table(E, 1_000)[1], first[1][first[0] <= 1_000])
+    assert traced == []
+    grown = trace_table(E, 12_000)
+    assert traced == [p for p in cold[0].tolist() if p > 3_000]
+    for g, c in zip(grown, cold):
+        assert g.dtype == c.dtype and np.array_equal(g, c)
 
 
 # ------------------------------------------------------------- counters

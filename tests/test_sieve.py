@@ -45,7 +45,7 @@ def odd_wheel_sieve_count(limit: int) -> int:
 # ------------------------------------------------------- segmented sieve
 
 def test_small_range_matches_frozen_list():
-    assert segmented_primes(2, 30).primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert segmented_primes(2, 30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_empty_interval():
@@ -56,7 +56,7 @@ def test_high_segment_frozen():
     # oracle: trial division over the window
     window = [n for n in range(10**6, 10**6 + 100) if trial_division_is_prime(n)]
     assert window == [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
-    assert segmented_primes(10**6, 10**6 + 100).primes.tolist() == window
+    assert segmented_primes(10**6, 10**6 + 100).tolist() == window
 
 
 def test_pi_1e6_against_independent_sieve():
@@ -65,7 +65,7 @@ def test_pi_1e6_against_independent_sieve():
 
 
 def test_all_listed_are_prime_spot_check():
-    primes = segmented_primes(2, 50_000).primes
+    primes = segmented_primes(2, 50_000)
     rng = np.random.default_rng(7)
     for p in rng.choice(primes, size=200, replace=False):
         assert trial_division_is_prime(int(p))
@@ -76,15 +76,15 @@ def test_no_prime_omitted_on_random_window():
     for _ in range(5):
         lo = int(rng.integers(2, 10**6))
         hi = lo + 500
-        got = set(segmented_primes(lo, hi).primes.tolist())
+        got = set(segmented_primes(lo, hi).tolist())
         expect = {n for n in range(lo, hi) if trial_division_is_prime(n)}
         assert got == expect
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 3001, 2**14, 2**20])
 def test_segment_size_independence(segment_size):
-    baseline = segmented_primes(2, 200_000).primes
-    assert np.array_equal(segmented_primes(2, 200_000, segment_size).primes, baseline)
+    baseline = segmented_primes(2, 200_000)
+    assert np.array_equal(segmented_primes(2, 200_000, segment_size), baseline)
 
 
 def test_segment_size_too_small_rejected():
@@ -101,19 +101,48 @@ def test_primes_upto_consistent_with_simple_sieve():
     assert np.array_equal(primes_upto(10_000), simple_sieve(10_000))
 
 
-def test_primes_upto_cache_key_stays_inside_default_budget(monkeypatch):
-    keys = []
+def test_primes_upto_sieves_only_new_windows_inside_budget(monkeypatch):
+    windows = []
 
-    def fake_cached(n):
-        keys.append(n)
-        return np.array([2, 3, 5], dtype=np.int64)
+    def recording_sieve(lo, hi):
+        windows.append((lo, hi))
+        if hi > 10**6:  # record the window without sieving it
+            return np.empty(0, dtype=np.int64)
+        ps = simple_sieve(hi - 1)
+        return ps[ps >= lo]
 
-    monkeypatch.setattr(sieve, "_primes_upto_cached", fake_cached)
-    primes_upto(1000)
+    monkeypatch.setattr(sieve, "_table", (1, np.empty(0, dtype=np.int64)))
+    monkeypatch.setattr(sieve, "segmented_primes", recording_sieve)
+    assert np.array_equal(primes_upto(1000), simple_sieve(1000))
+    assert np.array_equal(primes_upto(500), simple_sieve(500))   # inside the table
+    assert np.array_equal(primes_upto(1000.9), simple_sieve(1000))
+    assert np.array_equal(primes_upto(5000), simple_sieve(5000))
     primes_upto(2**32 + 1)
-    primes_upto(sieve.DEFAULT_MEMORY_BUDGET + 5)
-    # the sieve runs to key + 1, which must fit the budget when n does
-    assert keys == [1024, sieve.DEFAULT_MEMORY_BUDGET - 1, sieve.DEFAULT_MEMORY_BUDGET + 5]
+    assert windows == [(2, 1001), (1001, 5001), (5001, 2**32 + 2)]
+    # no sieve goes past n + 1, which must fit the default budget when n does
+    assert windows[-1][1] <= sieve.DEFAULT_MEMORY_BUDGET
+
+
+def test_primes_upto_past_budget_leaves_table_intact(monkeypatch):
+    monkeypatch.setattr(sieve, "_table", (1, np.empty(0, dtype=np.int64)))
+    primes_upto(100)
+    with pytest.raises(CapacityError):
+        primes_upto(sieve.DEFAULT_MEMORY_BUDGET + 5)
+    assert np.array_equal(primes_upto(200), simple_sieve(200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=30_000.0), min_size=1, max_size=8))
+def test_grown_table_matches_simple_sieve(requests):
+    saved = sieve._table
+    sieve._table = (1, np.empty(0, dtype=np.int64))
+    try:
+        for n in requests:
+            got = primes_upto(n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, simple_sieve(math.floor(n)))
+    finally:
+        sieve._table = saved
 
 
 # ----------------------------------------------------------- prime powers
@@ -214,5 +243,5 @@ def test_count_series_step_lookup():
 @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=3, max_value=5000))
 def test_segmented_matches_trial_division(a, b):
     lo, hi = min(a, b), max(a, b) + 1
-    got = segmented_primes(lo, hi, segment_size=2**10).primes.tolist()
+    got = segmented_primes(lo, hi, segment_size=2**10).tolist()
     assert got == [n for n in range(lo, hi) if trial_division_is_prime(n)]
