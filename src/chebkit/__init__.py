@@ -29,8 +29,8 @@ from .chebotarev import (AbelianExtension, ConjClass, artin_class,
                          quadratic_field, theta_class, theta_series,
                          trivial_extension, weighted_prime_sum)
 from .elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
-                       growth_shape_report, read_curves, trace_match_count,
-                       trace_of_frobenius)
+                       frobenius_traces, growth_shape_report, read_curves,
+                       trace_match_count, trace_of_frobenius)
 from .errors import CapacityError, DomainError
 from .explicit import (LogDerivSeries, character_log_deriv, class_log_deriv,
                        contour_sum, support_cap, tail_bound, zeta_log_deriv)

@@ -2,10 +2,11 @@
 style counters: primes with a fixed trace, and primes with a fixed
 Frobenius quadratic field.
 
-Traces come from a full quadratic-character sum for small primes and a
-baby-step giant-step order search in the Hasse interval for larger ones;
-ambiguous searches resample points and finally fall back to enumeration,
-so every reported trace is exact.
+Traces come from a full quadratic-character sum for small primes and, for
+the others, from one baby-step giant-step order search in the Hasse
+interval that runs over all primes at once, one numpy lane per prime.
+Ambiguous searches resample points and finally fall back to the character
+sum, so every reported trace is exact.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import squarefree_kernel
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .sieve import CountSeries, primes_upto
 
-_CHARSUM_CUTOFF = 10_000
+_CHARSUM_CUTOFF = 1_000
 _BSGS_RESAMPLE_LIMIT = 8
+_BLOCK_ENTRIES = 2 ** 16      # baby steps per block of BSGS lanes
+_LANE_LIMIT = 2 ** 31
+_TRACE_CACHE_CURVES = 8
 
 
 @dataclass(frozen=True)
@@ -58,145 +62,229 @@ class FrobeniusRecord:
             raise DomainError(f"Hasse bound violated at p={self.p}: a_p={self.a_p}")
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """Tonelli-Shanks square root of a quadratic residue mod an odd prime."""
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # write p-1 = q 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _ec_add(P, Q, A: int, p: int):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return (x3, (lam * (x1 - x3) - y1) % p)
-
-
-def _ec_mul(k: int, P, A: int, p: int):
-    R = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, A, p)
-        P = _ec_add(P, P, A, p)
-        k >>= 1
-    return R
-
-
 def _trace_charsum(curve: CurveModel, p: int) -> int:
     x = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int64)
     chi[(x * x) % p] = 1
     chi[0] = 0
-    f = (x * x % p * x + curve.A % p * x + curve.B) % p
+    f = (x * x % p * x + curve.A % p * x + curve.B % p) % p
     return int(-np.sum(chi[f]))
 
 
-def _random_point(curve: CurveModel, p: int, rng: np.random.Generator):
-    A, B = curve.A % p, curve.B % p
-    while True:
-        x = int(rng.integers(0, p))
-        f = (x * x % p * x + A * x + B) % p
-        if f == 0:
-            return (x, 0)
-        if pow(f, (p - 1) // 2, p) == 1:
-            return (x, _sqrt_mod(f, p))
+# Lockstep BSGS: int64 arrays, one lane per prime p < 2^31, so that a product
+# of two residues fits.  Points are projective (X, Y, Z), O where Z = 0.
+
+def _residues(n: int, ps: np.ndarray) -> np.ndarray:
+    return (n % ps.astype(object)).astype(np.int64)      # exact for any size of n
 
 
-def _order_candidates(curve: CurveModel, P, p: int) -> list[int]:
-    """All m in the Hasse interval with m*P = O, by baby-step giant-step."""
-    A = curve.A % p
-    half = math.isqrt(4 * p)
-    lo, hi = p + 1 - half, p + 1 + half
-    width = hi - lo + 1
-    m1 = math.isqrt(width) + 1
-    baby: dict[int, list[tuple[int, int]]] = {}
-    Q = None
-    for j in range(m1):
-        if Q is not None:
-            baby.setdefault(Q[0], []).append((j, Q[1]))
-        Q = _ec_add(Q, P, A, p)
-    stride = _ec_mul(m1, P, A, p)
-    G = _ec_mul(lo, P, A, p)
-    found = set()
-    i = 0
-    while lo + i * m1 <= hi + m1:
-        base = lo + i * m1
-        if G is None and lo <= base <= hi:
-            found.add(base)
-        elif G is not None and G[0] in baby:
-            for j, yj in baby[G[0]]:
-                if G[1] == (p - yj) % p:
-                    m = base + j
-                    if lo <= m <= hi:
-                        found.add(m)
-                if G[1] == yj:
-                    m = base - j
-                    if lo <= m <= hi:
-                        found.add(m)
-        G = _ec_add(G, stride, A, p)
-        i += 1
-    return sorted(m for m in found if _ec_mul(m, P, A, p) is None)
+def _good_reduction(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
+    return (ps > 3) & (_residues(curve.disc_factor, ps) != 0)
 
 
-def _trace_bsgs(curve: CurveModel, p: int, seed: int = 0) -> int:
-    rng = np.random.default_rng((p << 8) ^ seed ^ 0x5EED)
-    candidates = None
-    for _ in range(_BSGS_RESAMPLE_LIMIT):
-        P = _random_point(curve, p, rng)
-        mine = _order_candidates(curve, P, p)
-        candidates = mine if candidates is None else [m for m in candidates if m in set(mine)]
-        if len(candidates) == 1:
-            return p + 1 - candidates[0]
-    return _trace_charsum(curve, p)  # rare: fully ambiguous sampling
+def _baby_steps(p) -> int:
+    """M for the baby steps jP, 0 < j < M, at p: the Hasse interval is
+    2 isqrt(4p) + 1 wide, so about M giant steps of 2M - 1 cover it too."""
+    return math.isqrt(math.isqrt(4 * int(p))) + 1
+
+
+def _powmod(b, e, p):
+    r = np.ones_like(p)
+    while e.any():
+        r = np.where(e & 1 == 1, r * b % p, r)
+        b, e = b * b % p, e >> 1
+    return r
+
+
+def _dbl(P, a, p):
+    """2P on y^2 = x^3 + a x + b."""
+    X, Y, Z = P
+    XX = X * X % p
+    w = (a * (Z * Z % p) + 3 * XX) % p
+    s = 2 * (Y * Z % p) % p
+    R = Y * s % p
+    B = 2 * (X * R % p) % p
+    h = (w * w - 2 * B) % p
+    return h * s % p, (w * (B - h) - 2 * (R * R % p)) % p, s * (s * s % p) % p
+
+
+def _add(P, Q, Q2, p):
+    """P + Q for affine Q with Q2 = 2Q: the chord formula, which gives O for
+    P = -Q, with P = O and P = Q patched in."""
+    (X, Y, Z), (x, y) = P, Q
+    u, v = (y * Z - Y) % p, (x * Z - X) % p
+    vv = v * v % p
+    vvv, R = v * vv % p, vv * X % p
+    A = (u * u % p * Z - vvv - 2 * R) % p
+    out = v * A % p, (u * (R - A) - vvv * Y) % p, vvv * Z % p
+    if ((v == 0) | (Z == 0)).any():
+        same, at_inf = (u == 0) & (v == 0) & (Z != 0), Z == 0
+        for c, q, q2 in zip(out, (x, y, 1), Q2):
+            np.copyto(c, q2, where=same)
+            np.copyto(c, q, where=at_inf)
+    return out
+
+
+def _mul(k, Q, Q2, a, p):
+    """kQ for affine Q with Q2 = 2Q, by double-and-add."""
+    R = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
+    for bit in reversed(range(int(k.max(initial=0)).bit_length())):
+        R = _dbl(R, a, p)
+        R = tuple(np.where(k >> bit & 1 == 1, s, r) for s, r in zip(_add(R, Q, Q2, p), R))
+    return R
+
+
+def _affine(table, p):
+    """Affine x and y of a (3, rows, lanes) table of points, in place, with
+    one Fermat inversion per lane (Montgomery's trick).  Rows at O get junk."""
+    X, Y, Z = table
+    Z = np.where(Z == 0, 1, Z)
+    prefix, acc = np.empty_like(Z), np.ones_like(p)
+    for j, z in enumerate(Z):
+        prefix[j] = acc = acc * z % p
+    inv = _powmod(acc, p - 2, p)
+    for j in range(len(Z) - 1, -1, -1):
+        zinv = inv * prefix[j - 1] % p if j else inv
+        inv = inv * Z[j] % p
+        X[j], Y[j] = X[j] * zinv % p, Y[j] * zinv % p
+    return X, Y
+
+
+_J_BITS, _LANE_SHIFT = 9, 40       # baby key = lane << 40 | x << 9 | j, for x < 2^31, j < 2^9
+
+
+def _point_orders(p, a, P, lo, width, M):
+    """(lanes, m, complete): every m in [lo, lo + width) with mP = O, each
+    verified, for affine P on y^2 = x^3 + a x + b, by baby steps jP
+    (0 < j < M) and giant steps of 2M - 1.  The search is complete when no
+    0 < k <= 2M - 2 has kP = O (the baby points have distinct x, nonzero y)
+    and (2M - 1)P != O."""
+    lanes, one = np.arange(p.size), np.ones_like(p)
+    P2 = _dbl((*P, one), a, p)
+    baby = np.empty((3, M - 1, p.size), np.int32)
+    baby[:, 0] = Q = (*P, one)
+    for j in range(1, M - 1):
+        baby[:, j] = Q = _add(Q, P, P2, p)
+    S = _add(_dbl(Q, a, p), P, P2, p)
+    zinv = _powmod(S[2], p - 2, p)
+    S = S[0] * zinv % p, S[1] * zinv % p
+    S2 = _dbl((*S, one), a, p)
+    complete = (zinv != 0) & (baby[1:] != 0).all(axis=(0, 1))
+    bx, by = _affine(baby, p)
+    keys = np.left_shift(bx, _J_BITS, dtype=np.int64)
+    keys |= lanes << _LANE_SHIFT
+    keys |= np.arange(1, M)[:, None]
+    keys = keys.ravel()
+    keys.sort()
+    complete[keys[1:][(keys[1:] ^ keys[:-1]) < 1 << _J_BITS] >> _LANE_SHIFT] = False
+
+    stride = 2 * M - 1
+    first = (lo + M - 1) // stride        # giant step i is centred on (first + i) stride
+    steps = int(((lo + width + M - 2) // stride - first).max()) + 1
+    giant = np.empty((3, steps, p.size), np.int32)
+    giant[:, 0] = G = _mul(first, S, S2, a, p)
+    for i in range(1, steps):
+        giant[:, i] = G = _add(G, S, S2, p)
+    at_inf = giant[2] == 0
+    gx, gy = _affine(giant, p)
+    gkeys = np.left_shift(gx, _J_BITS, dtype=np.int64)
+    gkeys |= lanes << _LANE_SHIFT
+    pos = np.minimum(np.searchsorted(keys, gkeys), keys.size - 1)
+    step, lane = np.nonzero(((keys[pos] ^ gkeys) < 1 << _J_BITS) & ~at_inf)
+    j = keys[pos[step, lane]] & ((1 << _J_BITS) - 1)
+    sign = np.where(gy[step, lane] == by[j - 1, lane], -1, 1)     # G = jP or -jP
+    inf_step, inf_lane = np.nonzero(at_inf)
+    m = np.append((first[lane] + step) * stride + sign * j, (first[inf_lane] + inf_step) * stride)
+    lane = np.append(lane, inf_lane)
+    keep = complete[lane] & (m >= lo[lane]) & (m < (lo + width)[lane])
+    lane, m = lane[keep], m[keep]
+    ok = _mul(m, (P[0][lane], P[1][lane]), [c[lane] for c in P2], a[lane], p[lane])[2] == 0
+    return lane[ok], m[ok], complete
+
+
+_DRAW = 0x9E3779B1       # round r draws x = (r + 1) _DRAW mod p, spread over F_p
+
+
+def _bsgs_block(p, A, B, M):
+    """(a_p, solved) for one block of lanes.  Round r draws x, sets
+    f = x^3 + Ax + B and searches the order of (f x, f^2) on
+    y^2 = x^3 + A f^2 x + B f^3: E if f is a square, else its quadratic
+    twist, so a hit m gives a_p = chi(f)(p + 1 - m).  A complete round's
+    hits are the multiples of the point's order d in the Hasse interval:
+    a_p = rho (mod d), with d the interval's width for one hit."""
+    half = np.sqrt(4 * p).astype(np.int64)          # isqrt: exact below 2^52
+    width = 2 * half + 1
+    rho = np.zeros((_BSGS_RESAMPLE_LIMIT, p.size), np.int64)
+    mod = np.ones_like(rho)
+    ap, solved, live = np.zeros_like(p), np.zeros(p.size, bool), np.arange(p.size)
+    for r in range(_BSGS_RESAMPLE_LIMIT):       # live lanes are not solved yet
+        q, h, w, a = p[live], half[live], width[live], A[live]
+        x = (r + 1) * _DRAW % q
+        f = (x * x % q * x + a * x + B[live]) % q
+        ff = f * f % q
+        lanes, ms, complete = _point_orders(q, a * ff % q, (f * x % q, ff), q + 1 - h, w, M)
+        hits = np.unique(lanes << 32 | ms)
+        lanes, ms = hits >> 32, np.append(hits & 0xFFFFFFFF, [0, 0])
+        at = np.searchsorted(lanes, np.arange(live.size))       # each lane's first hit
+        count = np.bincount(lanes, minlength=live.size)
+        told = complete & (count > 0) & (f != 0)          # f = 0: a singular twist
+        chi = np.where(_powmod(f, (q - 1) // 2, q) == 1, 1, -1)
+        rho[r, live] = np.where(told, chi * (q + 1 - ms[at]), 0)
+        mod[r, live] = np.where(told, np.where(count > 1, ms[at + 1] - ms[at], w), 1)
+        # list the a_p in [-h, h] that the largest modulus allows; a lane is
+        # solved when the other rounds allow exactly one of them
+        dd, rr = mod[:r + 1, live], rho[:r + 1, live]
+        best, cols = dd.argmax(axis=0), np.arange(live.size)
+        d = dd[best, cols]
+        n = int((2 * h // d)[d > 1].max(initial=0)) + 1
+        cand = (rr[best, cols] + h) % d - h + d * np.arange(n)[:, None]
+        fits = (cand <= h) & ((cand[None] - rr[:, None]) % dd[:, None] == 0).all(axis=0)
+        one = (fits.sum(axis=0) == 1) & (d > 1)
+        ap[live[one]] = cand[fits.argmax(axis=0), cols][one]
+        solved[live[one]] = True
+        live = live[~one]
+        if not live.size:
+            break
+    return ap, solved
+
+
+def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndarray:
+    """Exact a_p = p + 1 - #E(F_p) for an ascending array of good primes.
+
+    'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
+    runs one lockstep baby-step giant-step search over blocks of primes and
+    falls back to the character sum where its rounds leave more than one
+    a_p; 'auto' takes character sums below ``_CHARSUM_CUTOFF``.  Primes
+    >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64."""
+    ps = np.asarray(primes, dtype=np.int64)
+    cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}.get(method)
+    if cutoff is None:
+        raise DomainError(f"unknown method {method!r}")
+    if ps.size and ps.max() >= _LANE_LIMIT:
+        raise CapacityError(f"primes must be below 2^31, got {int(ps.max())}")
+    if np.any(ps[1:] <= ps[:-1]) or not _good_reduction(curve, ps).all():
+        raise DomainError("primes must be ascending and of good reduction")
+    out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
+    A, B = _residues(curve.A, ps), _residues(curve.B, ps)
+    i = int(np.searchsorted(ps, cutoff))
+    while i < ps.size:          # blocks of about _BLOCK_ENTRIES baby steps
+        M = _baby_steps(ps[min(i + _BLOCK_ENTRIES // _baby_steps(ps[i]), ps.size) - 1])
+        block = slice(i, i + _BLOCK_ENTRIES // M)
+        out[block], solved[block] = _bsgs_block(ps[block], A[block], B[block], M)
+        i = block.stop
+    for k in np.flatnonzero(~solved):
+        out[k] = _trace_charsum(curve, int(ps[k]))
+    return out
 
 
 def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> FrobeniusRecord:
-    """Exact a_p = p + 1 - #E(F_p) at a good prime.
-
-    Bad-reduction primes give a record with ``skipped=True`` rather than an
-    exception.  ``method`` forces 'charsum' or 'bsgs' (used by the
-    cross-validation tests); 'auto' switches on prime size.
-    """
+    """``frobenius_traces`` at one prime.  Bad-reduction primes give a
+    record with ``skipped=True`` rather than an exception."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
         return FrobeniusRecord(p=p, a_p=0, disc_part=0, skipped=True)
-    if method == "charsum" or (method == "auto" and p < _CHARSUM_CUTOFF):
-        a = _trace_charsum(curve, p)
-    elif method in ("bsgs", "auto"):
-        a = _trace_bsgs(curve, p)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    a = int(frobenius_traces(curve, [p], method)[0])
     return FrobeniusRecord(p=p, a_p=a, disc_part=squarefree_kernel(a * a - 4 * p))
 
 
@@ -204,19 +292,20 @@ _TRACE_CACHE: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]] = {}
 
 
 def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(good primes <= x, their traces), cached per curve.  A query past
-    the cached horizon traces only the primes beyond it."""
-    key = (curve.A, curve.B)
-    empty = np.empty(0, dtype=np.int64)
-    top, ps, aps = _TRACE_CACHE.get(key, (1, empty, empty))
+    """(good primes <= x, their traces), cached for the last
+    ``_TRACE_CACHE_CURVES`` curves used.  A query past the cached horizon
+    traces only the primes beyond it."""
+    key, empty = (curve.A, curve.B), np.empty(0, dtype=np.int64)
+    top, ps, aps = _TRACE_CACHE.pop(key, (1, empty, empty))
     if x > top:
-        fresh = [p for p in map(int, primes_upto(x)) if p > top and curve.has_good_reduction(p)]
-        ps = np.concatenate((ps, np.array(fresh, dtype=np.int64)))
-        aps = np.concatenate((aps, np.array([trace_of_frobenius(curve, p).a_p for p in fresh],
-                                            dtype=np.int64)))
-        _TRACE_CACHE[key] = (x, ps, aps)
-    keep = ps <= x
-    return ps[keep], aps[keep]
+        fresh = primes_upto(x)
+        fresh = fresh[fresh > top]
+        fresh = fresh[_good_reduction(curve, fresh)]
+        ps, aps, top = np.append(ps, fresh), np.append(aps, frobenius_traces(curve, fresh)), x
+    _TRACE_CACHE[key] = (top, ps, aps)
+    if len(_TRACE_CACHE) > _TRACE_CACHE_CURVES:
+        del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
+    return ps[ps <= x], aps[ps <= x]
 
 
 def trace_match_count(curve: CurveModel, a: int, x: int,
@@ -237,9 +326,10 @@ def frobenius_field_count(curve: CurveModel, D_k: int, x: int,
         raise DomainError("not a quadratic field discriminant")
     kernel = squarefree_kernel(D_k)
     ps, aps = trace_table(curve, int(x))
-    vals = aps.astype(object) * aps - 4 * ps.astype(object)
-    hits = np.array([int(p) for p, v in zip(ps, vals)
-                     if squarefree_kernel(int(v)) == kernel], dtype=np.int64)
+    # a_p^2 - 4p has squarefree kernel k iff it is k times a square
+    v = aps * aps - 4 * ps
+    root = np.sqrt(v // kernel).astype(np.int64)      # isqrt: exact below 2^52
+    hits = ps[(v % kernel == 0) & (root * root == v // kernel)]
     return CountSeries.of_hits(hits, x, checkpoints, f"Frobenius field kernel {kernel}")
 
 

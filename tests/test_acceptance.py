@@ -25,8 +25,8 @@ from chebkit.chebotarev import (FULL, INERT, SPLIT, ConjClass, conj_classes,
                                 counting_chain_check, cyclotomic_field, pi_class,
                                 quadratic_field, trivial_extension,
                                 weighted_prime_sum)
-from chebkit.elliptic import CurveModel, growth_shape_report, trace_match_count, \
-    trace_of_frobenius, trace_table
+from chebkit.elliptic import CurveModel, frobenius_traces, growth_shape_report, \
+    trace_match_count, trace_of_frobenius, trace_table
 from chebkit.explicit import class_log_deriv, contour_sum, support_cap, zeta_log_deriv
 from chebkit.progressions import APQuery, euler_phi, montgomery_vaughan_check, \
     residue_counts
@@ -278,11 +278,10 @@ def test_c7_lang_trotter_machinery():
     mismatches = 0
     small = [int(p) for p in primes_upto(10**4 - 1)]
     for curve in LT_CURVES:
-        for p in small:
-            if not curve.has_good_reduction(p):
-                continue
-            if (trace_of_frobenius(curve, p, method="bsgs").a_p
-                    != trace_of_frobenius(curve, p, method="charsum").a_p):
+        good = np.array([p for p in small if curve.has_good_reduction(p)], dtype=np.int64)
+        bsgs = frobenius_traces(curve, good, method="bsgs")
+        for p, a in zip(good.tolist(), bsgs.tolist()):
+            if a != trace_of_frobenius(curve, p, method="charsum").a_p:
                 mismatches += 1
     # exact trace partition at 1e5
     E = LT_CURVES[0]

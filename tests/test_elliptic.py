@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chebkit import elliptic
 from chebkit.arith import factorize, squarefree_kernel
 from chebkit.elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
-                              growth_shape_report, read_curves, trace_match_count,
-                              trace_of_frobenius, trace_table)
-from chebkit.errors import DomainError
+                              frobenius_traces, growth_shape_report, read_curves,
+                              trace_match_count, trace_of_frobenius, trace_table)
+from chebkit.errors import CapacityError, DomainError
 from chebkit.sieve import CountSeries, primes_upto
 
 TEST_CURVES = [CurveModel(1, 1), CurveModel(-1, 1), CurveModel(2, 3),
@@ -82,6 +84,81 @@ def test_bsgs_agrees_with_charsum():
             assert a1 == a2, (E, p)
 
 
+SMALL_PRIMES = [int(p) for p in primes_upto(10**5) if p > 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["generic", "j0", "j1728"]),
+       st.integers(min_value=-50, max_value=50), st.integers(min_value=-50, max_value=50),
+       st.lists(st.sampled_from([p for p in SMALL_PRIMES if p % 4 == 1]), min_size=1, max_size=8),
+       st.lists(st.sampled_from([p for p in SMALL_PRIMES if p % 4 == 3]), min_size=1, max_size=8))
+def test_batched_bsgs_agrees_with_charsum(kind, A, B, one_mod_4, three_mod_4):
+    A = 0 if kind == "j0" else A or 1
+    B = 0 if kind == "j1728" else B or 1
+    assume(4 * A ** 3 + 27 * B ** 2 != 0)
+    E = CurveModel(A, B)
+    ps = sorted(set(one_mod_4 + three_mod_4))
+    ps = np.array([p for p in ps if E.has_good_reduction(p)], dtype=np.int64)
+    batched = frobenius_traces(E, ps, method="bsgs")
+    assert batched.dtype == np.int64
+    for p, a in zip(ps.tolist(), batched.tolist()):
+        assert a == trace_of_frobenius(E, p, method="charsum").a_p, (A, B, p)
+
+
+@pytest.mark.parametrize("A,B", [(0, 1), (0, -7), (0, 5), (-1, 0), (3, 0), (-4, 0),
+                                 (-7, 6), (-13, 12)])
+def test_batched_bsgs_agrees_with_charsum_on_every_small_prime(A, B):
+    # j = 0, j = 1728 and full rational 2-torsion: small point orders, so
+    # several hits per search, clashing baby steps and hits at the giant
+    # step centres all occur among these primes
+    E = CurveModel(A, B)
+    ps = np.array([p for p in SMALL_PRIMES if p < 20_000 and E.has_good_reduction(p)])
+    expect = [trace_of_frobenius(E, int(p), method="charsum").a_p for p in ps]
+    assert frobenius_traces(E, ps, method="bsgs").tolist() == expect
+
+
+def test_frobenius_traces_validates_its_primes():
+    E = CurveModel(-7, 10)  # bad reduction at 2 and 83
+    with pytest.raises(CapacityError):
+        frobenius_traces(E, np.array([2147483659], dtype=np.int64))
+    with pytest.raises(DomainError):
+        frobenius_traces(E, [5, 83, 89])
+    with pytest.raises(DomainError):
+        frobenius_traces(E, [7, 5])
+    with pytest.raises(DomainError):
+        frobenius_traces(E, [5], method="naive")
+    assert frobenius_traces(E, []).shape == (0,)
+    ps = np.array([5, 7, 11, 1009, 2003], dtype=np.int64)
+    for method in ("auto", "bsgs", "charsum"):
+        assert frobenius_traces(E, ps, method).tolist() == [
+            trace_of_frobenius(E, int(p), "charsum").a_p for p in ps]
+
+
+def test_trace_cache_keeps_the_newest_curves(monkeypatch):
+    monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
+    traced = []
+
+    def recording(curve, primes, method="auto"):
+        traced.append((curve.A, curve.B))
+        return frobenius_traces(curve, primes, method)
+
+    monkeypatch.setattr(elliptic, "frobenius_traces", recording)
+    cap = elliptic._TRACE_CACHE_CURVES
+    curves = [CurveModel(1, b) for b in range(1, cap + 3)]
+    for E in curves:
+        trace_table(E, 200)
+    assert list(elliptic._TRACE_CACHE) == [(1, b) for b in range(3, cap + 3)]
+    traced.clear()
+    ps, aps = trace_table(curves[-1], 200)
+    assert traced == [] and np.array_equal(aps, frobenius_traces(curves[-1], ps))
+    # a read makes its curve the newest, so the next eviction takes (1, 4)
+    trace_table(curves[2], 150)
+    trace_table(CurveModel(2, 1), 100)
+    assert traced == [(2, 1)]
+    assert (1, 3) in elliptic._TRACE_CACHE and (1, 4) not in elliptic._TRACE_CACHE
+    assert len(elliptic._TRACE_CACHE) == cap
+
+
 def test_disc_part_is_negative_squarefree():
     ps, aps = trace_table(CurveModel(1, 1), 3000)
     for p, a in zip(ps[:200], aps[:200]):
@@ -98,11 +175,11 @@ def test_grown_trace_table_equals_cold_and_traces_only_new_primes(monkeypatch):
     elliptic._TRACE_CACHE.clear()
     traced = []
 
-    def recording(curve, p, method="auto"):
-        traced.append(p)
-        return trace_of_frobenius(curve, p, method)
+    def recording(curve, primes, method="auto"):
+        traced.extend(np.asarray(primes).tolist())
+        return frobenius_traces(curve, primes, method)
 
-    monkeypatch.setattr(elliptic, "trace_of_frobenius", recording)
+    monkeypatch.setattr(elliptic, "frobenius_traces", recording)
     first = trace_table(E, 3_000)
     assert traced == first[0].tolist() and 83 not in traced
     traced.clear()
@@ -150,6 +227,19 @@ def test_frobenius_field_validation():
     with pytest.raises(DomainError):
         frobenius_field_count(E, -5, 100)  # -5 = 3 mod 4: not a discriminant
     frobenius_field_count(E, -20, 100)  # -20 is fine (field disc of sqrt(-5))
+
+
+def test_vectorised_field_count_matches_scalar_kernels():
+    x = 10**5
+    for E in TEST_CURVES:
+        ps, aps = trace_table(E, x)
+        kernels = np.array([squarefree_kernel(int(a) ** 2 - 4 * int(p))
+                            for p, a in zip(ps, aps)])
+        for D in (-3, -4, -7, -8, -11, -15, -20, -23, -24, -39):
+            hits = ps[kernels == squarefree_kernel(D)]
+            series = frobenius_field_count(E, D, x, checkpoints=[10**3, 10**4, x])
+            assert series.counts.tolist() == [
+                np.count_nonzero(hits <= t) for t in (10**3, 10**4, x)], (E, D)
 
 
 def test_frobenius_field_partition():
