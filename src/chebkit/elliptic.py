@@ -24,7 +24,7 @@ _CHARSUM_CUTOFF = 1_000
 _BSGS_RESAMPLE_LIMIT = 8
 _BLOCK_ENTRIES = 2 ** 16      # baby steps per block of BSGS lanes
 _LANE_LIMIT = 2 ** 31
-_TRACE_CACHE_CURVES = 8
+_TRACE_CACHE_CURVES = 6      # a second pass over six curves re-traces none
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,10 @@ class CurveModel:
     def disc_factor(self) -> int:
         return 4 * self.A ** 3 + 27 * self.B ** 2
 
-    def has_good_reduction(self, p: int) -> bool:
-        return p not in (2, 3) and self.disc_factor % p != 0
+    def has_good_reduction(self, p):
+        """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
+        for an int64 array of primes."""
+        return (p > 3) & (self.disc_factor % np.asarray(p, dtype=object) != 0)
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,6 @@ def _trace_charsum(curve: CurveModel, p: int) -> int:
 
 # Lockstep BSGS: int64 arrays, one lane per prime p < 2^31, so that a product
 # of two residues fits.  Points are projective (X, Y, Z), O where Z = 0.
-
-def _residues(n: int, ps: np.ndarray) -> np.ndarray:
-    return (n % ps.astype(object)).astype(np.int64)      # exact for any size of n
-
-
-def _good_reduction(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
-    return (ps > 3) & (_residues(curve.disc_factor, ps) != 0)
-
 
 def _baby_steps(p) -> int:
     """M for the baby steps jP, 0 < j < M, at p: the Hasse interval is
@@ -256,35 +250,43 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     falls back to the character sum where its rounds leave more than one
     a_p; 'auto' takes character sums below ``_CHARSUM_CUTOFF``.  Primes
     >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64."""
-    ps = np.asarray(primes, dtype=np.int64)
+    ps = np.asarray(primes)
     cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}.get(method)
     if cutoff is None:
         raise DomainError(f"unknown method {method!r}")
     if ps.size and ps.max() >= _LANE_LIMIT:
-        raise CapacityError(f"primes must be below 2^31, got {int(ps.max())}")
-    if np.any(ps[1:] <= ps[:-1]) or not _good_reduction(curve, ps).all():
+        raise CapacityError(f"primes must be below 2^31, got {ps.max()}")
+    ps = ps.astype(np.int64)
+    if np.any(ps[1:] <= ps[:-1]) or not np.all(curve.has_good_reduction(ps)):
         raise DomainError("primes must be ascending and of good reduction")
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
-    A, B = _residues(curve.A, ps), _residues(curve.B, ps)
+    A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
     i = int(np.searchsorted(ps, cutoff))
     while i < ps.size:          # blocks of about _BLOCK_ENTRIES baby steps
         M = _baby_steps(ps[min(i + _BLOCK_ENTRIES // _baby_steps(ps[i]), ps.size) - 1])
         block = slice(i, i + _BLOCK_ENTRIES // M)
         out[block], solved[block] = _bsgs_block(ps[block], A[block], B[block], M)
         i = block.stop
-    for k in np.flatnonzero(~solved):
-        out[k] = _trace_charsum(curve, int(ps[k]))
+    for k in np.flatnonzero(~solved):       # below the cutoff, or left open by BSGS
+        out[k] = trace_of_frobenius(curve, int(ps[k]), "charsum").a_p
     return out
 
 
 def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> FrobeniusRecord:
-    """``frobenius_traces`` at one prime.  Bad-reduction primes give a
-    record with ``skipped=True`` rather than an exception."""
+    """Exact a_p at one prime: the character sum for 'charsum', and for
+    'auto' below ``_CHARSUM_CUTOFF``; else ``frobenius_traces`` on one lane.
+    Bad-reduction primes give a record with ``skipped=True`` rather than an
+    exception; other primes >= 2^31 raise ``CapacityError``."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
         return FrobeniusRecord(p=p, a_p=0, disc_part=0, skipped=True)
-    a = int(frobenius_traces(curve, [p], method)[0])
+    if p >= _LANE_LIMIT:
+        raise CapacityError(f"p must be below 2^31, got {p}")
+    if method == "charsum" or (method == "auto" and p < _CHARSUM_CUTOFF):
+        a = _trace_charsum(curve, p)
+    else:
+        a = int(frobenius_traces(curve, [p], method)[0])
     return FrobeniusRecord(p=p, a_p=a, disc_part=squarefree_kernel(a * a - 4 * p))
 
 
@@ -300,7 +302,7 @@ def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
     if x > top:
         fresh = primes_upto(x)
         fresh = fresh[fresh > top]
-        fresh = fresh[_good_reduction(curve, fresh)]
+        fresh = fresh[curve.has_good_reduction(fresh)]
         ps, aps, top = np.append(ps, fresh), np.append(aps, frobenius_traces(curve, fresh)), x
     _TRACE_CACHE[key] = (top, ps, aps)
     if len(_TRACE_CACHE) > _TRACE_CACHE_CURVES:

@@ -20,6 +20,7 @@ from chebkit.bounds import (FieldInvariants, brun_titchmarsh_constant,
                             deuring_heilbronn_from_L, extension_complexity,
                             log_complexity, low_lying_density_bound,
                             range_thresholds, repulsion_threshold)
+from chebkit import elliptic
 from chebkit.bqf import class_number, count_represented_primes, delta_q
 from chebkit.chebotarev import (FULL, INERT, SPLIT, ConjClass, conj_classes,
                                 counting_chain_check, cyclotomic_field, pi_class,
@@ -266,7 +267,7 @@ def test_c6_bound_calculators_reproduce_worked_examples():
             elapsed)
 
 
-def test_c7_lang_trotter_machinery():
+def test_c7_lang_trotter_machinery(monkeypatch):
     t0 = time.monotonic()
     # Hasse holds structurally for every produced record; recheck explicitly
     hasse_violations = 0
@@ -274,12 +275,19 @@ def test_c7_lang_trotter_machinery():
         ps, aps = trace_table(curve, 10**5)
         if not np.all(aps.astype(float) ** 2 < 4.0 * ps.astype(float)):
             hasse_violations += 1
-    # baby-step giant-step against the character-sum count for all good p < 1e4
-    mismatches = 0
+    # baby-step giant-step against the character-sum count for all good p < 1e4;
+    # a lane BSGS leaves ambiguous falls back to the character sum, so count
+    # those: the comparison must run BSGS on nearly every prime
+    mismatches, fallbacks, compared = 0, [], 0
+    charsum = elliptic._trace_charsum
     small = [int(p) for p in primes_upto(10**4 - 1)]
     for curve in LT_CURVES:
         good = np.array([p for p in small if curve.has_good_reduction(p)], dtype=np.int64)
-        bsgs = frobenius_traces(curve, good, method="bsgs")
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "_trace_charsum",
+                      lambda E, p: fallbacks.append(p) or charsum(E, p))
+            bsgs = frobenius_traces(curve, good, method="bsgs")
+        compared += good.size
         for p, a in zip(good.tolist(), bsgs.tolist()):
             if a != trace_of_frobenius(curve, p, method="charsum").a_p:
                 mismatches += 1
@@ -294,15 +302,18 @@ def test_c7_lang_trotter_machinery():
                                checkpoints=[10**4, 10**5, 5 * 10**5, 10**6])
     shape = growth_shape_report(series, "trace")
     elapsed = time.monotonic() - t0
-    ok = (hasse_violations == 0 and mismatches == 0 and partition_exact
+    few_fallbacks = len(fallbacks) <= compared // 100
+    ok = (hasse_violations == 0 and mismatches == 0 and few_fallbacks and partition_exact
           and np.all(np.isfinite(shape.conjecture_ratio)) and elapsed < 300.0)
     _report(7, "Lang-Trotter machinery", ok,
             f"hasse violations {hasse_violations}, bsgs/naive mismatches "
-            f"{mismatches}, partition exact {partition_exact}, a=0 "
+            f"{mismatches} ({len(fallbacks)} of {compared} bsgs lanes fell back, "
+            f"largest p {max(fallbacks, default=0)}), partition exact {partition_exact}, a=0 "
             f"sqrt-normalized ratios {np.round(shape.conjecture_ratio, 3).tolist()}",
             elapsed, 300.0)
     assert hasse_violations == 0
     assert mismatches == 0
+    assert few_fallbacks, fallbacks
     assert partition_exact
     assert np.all(np.isfinite(shape.theorem_ratio))
     assert elapsed < 300.0

@@ -245,7 +245,7 @@ def test_operation_coverage_table(tmp_path):
         chebotarev.weighted_prime_sum, chebotarev.density_ratio_report,
         explicit.contour_sum, explicit.tail_bound, explicit.zeta_log_deriv,
         explicit.class_log_deriv, explicit.character_log_deriv,
-        elliptic.frobenius_traces, elliptic.trace_match_count,
+        elliptic.trace_of_frobenius, elliptic.frobenius_traces, elliptic.trace_match_count,
         elliptic.frobenius_field_count, elliptic.growth_shape_report,
         elliptic.read_curves,
     }

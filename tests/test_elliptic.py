@@ -121,6 +121,14 @@ def test_frobenius_traces_validates_its_primes():
     E = CurveModel(-7, 10)  # bad reduction at 2 and 83
     with pytest.raises(CapacityError):
         frobenius_traces(E, np.array([2147483659], dtype=np.int64))
+    for big in (2147483659, 2**64 + 13):      # past int64 too: no OverflowError
+        with pytest.raises(CapacityError):
+            frobenius_traces(E, [big])
+        with pytest.raises(CapacityError):
+            trace_of_frobenius(E, big)
+    assert trace_of_frobenius(CurveModel(0, 2**64 + 13), 2**64 + 13).skipped
+    assert E.has_good_reduction(np.array([2, 3, 5, 83, 89])).tolist() == [
+        False, False, True, False, True]
     with pytest.raises(DomainError):
         frobenius_traces(E, [5, 83, 89])
     with pytest.raises(DomainError):
