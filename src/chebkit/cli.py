@@ -281,15 +281,14 @@ def _cmd_lang_trotter(args) -> list[dict]:
             series = elliptic.trace_match_count(curve, args.a, int(args.x), checkpoints)
         else:
             series = elliptic.frobenius_field_count(curve, args.disc, int(args.x), checkpoints)
-        shape = elliptic.growth_shape_report(series, args.mode,
-                                             cm_flagged=bool(curve.cm_flag))
+        shape = elliptic.growth_shape_report(series, args.mode)
         for i, x_cp in enumerate(series.checkpoints):
             rows.append({
                 "curve": f"{curve.A},{curve.B}", "mode": args.mode,
                 "x": float(x_cp), "count": int(series.counts[i]),
                 "theorem_ratio": float(shape.theorem_ratio[i]),
                 "conjecture_ratio": float(shape.conjecture_ratio[i]),
-                "cm_flagged": shape.cm_flagged,
+                "cm_flagged": curve.has_cm,
             })
     return rows
 

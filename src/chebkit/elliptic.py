@@ -21,10 +21,15 @@ from .errors import CapacityError, DomainError
 from .sieve import CountSeries, primes_upto
 
 _CHARSUM_CUTOFF = 1_000
+_CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
+_CHARSUM_CHUNK = 2 ** 16      # x per chunk of its sweep: int64 arrays of 512 kB
 _BSGS_RESAMPLE_LIMIT = 8
 _BLOCK_ENTRIES = 2 ** 16      # baby steps per block of BSGS lanes
 _LANE_LIMIT = 2 ** 31
 _TRACE_CACHE_CURVES = 6      # a second pass over six curves re-traces none
+# the j-invariants in Q of the curves with complex multiplication
+_CM_J_INVARIANTS = (0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
+                    16581375, -884736000, -147197952000, -262537412640768000)
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,6 @@ class CurveModel:
     A: int
     B: int
     label: str = ""
-    cm_flag: bool | None = None
 
     def __post_init__(self):
         if 4 * self.A ** 3 + 27 * self.B ** 2 == 0:
@@ -43,6 +47,14 @@ class CurveModel:
     @property
     def disc_factor(self) -> int:
         return 4 * self.A ** 3 + 27 * self.B ** 2
+
+    @property
+    def has_cm(self) -> bool:
+        """The curve has complex multiplication: its j-invariant
+        6912 A^3 / (4A^3 + 27B^2), compared exactly, is one of the 13
+        rational CM j-invariants."""
+        num, den = 6912 * self.A ** 3, self.disc_factor
+        return any(num == j * den for j in _CM_J_INVARIANTS)
 
     def has_good_reduction(self, p):
         """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
@@ -65,12 +77,21 @@ class FrobeniusRecord:
 
 
 def _trace_charsum(curve: CurveModel, p: int) -> int:
-    x = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[(x * x) % p] = 1
-    chi[0] = 0
-    f = (x * x % p * x + curve.A % p * x + curve.B % p) % p
-    return int(-np.sum(chi[f]))
+    """a_p = -sum_x chi(x^3 + Ax + B) = #{x : f(x) != 0} - 2 #{x : f(x) a
+    nonzero square}, from a table of the nonzero squares mod p, sweeping x
+    in chunks."""
+    if p > _CHARSUM_LIMIT:
+        raise CapacityError(f"character sums need p <= 2^28, got {p}")
+    square = np.zeros(p, dtype=bool)
+    for lo in range(1, p // 2 + 1, _CHARSUM_CHUNK):
+        x = np.arange(lo, min(lo + _CHARSUM_CHUNK, p // 2 + 1), dtype=np.int64)
+        square[x * x % p] = True
+    A, B, a_p = curve.A % p, curve.B % p, 0
+    for lo in range(0, p, _CHARSUM_CHUNK):
+        x = np.arange(lo, min(lo + _CHARSUM_CHUNK, p), dtype=np.int64)
+        f = (x * x % p * x + A * x + B) % p
+        a_p += int(np.count_nonzero(f)) - 2 * int(np.count_nonzero(square[f]))
+    return a_p
 
 
 # Lockstep BSGS: int64 arrays, one lane per prime p < 2^31, so that a product
@@ -249,7 +270,8 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     runs one lockstep baby-step giant-step search over blocks of primes and
     falls back to the character sum where its rounds leave more than one
     a_p; 'auto' takes character sums below ``_CHARSUM_CUTOFF``.  Primes
-    >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64."""
+    >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64;
+    so does a character sum at p > 2^28 (``_CHARSUM_LIMIT``)."""
     ps = np.asarray(primes)
     cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}.get(method)
     if cutoff is None:
@@ -276,7 +298,8 @@ def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> Frobe
     """Exact a_p at one prime: the character sum for 'charsum', and for
     'auto' below ``_CHARSUM_CUTOFF``; else ``frobenius_traces`` on one lane.
     Bad-reduction primes give a record with ``skipped=True`` rather than an
-    exception; other primes >= 2^31 raise ``CapacityError``."""
+    exception; other primes >= 2^31, and character sums at p > 2^28, raise
+    ``CapacityError``."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
@@ -346,11 +369,9 @@ class ShapeReport:
     theorem_ratio: np.ndarray       # count * (log x)^2 / (x (log log x)^e)
     conjecture_ratio: np.ndarray    # count * log x / sqrt(x)
     exponent: int                   # e = 2 for trace mode, 1 for field mode
-    cm_flagged: bool = False
 
 
-def growth_shape_report(series: CountSeries, mode: str,
-                        cm_flagged: bool = False) -> ShapeReport:
+def growth_shape_report(series: CountSeries, mode: str) -> ShapeReport:
     if mode not in ("trace", "field"):
         raise DomainError("mode must be 'trace' or 'field'")
     e = 2 if mode == "trace" else 1
@@ -367,7 +388,6 @@ def growth_shape_report(series: CountSeries, mode: str,
         theorem_ratio=c * lx ** 2 / (x * llx ** e),
         conjecture_ratio=c * lx / np.sqrt(x),
         exponent=e,
-        cm_flagged=cm_flagged,
     )
 
 

@@ -31,6 +31,7 @@ from .sieve import prime_powers
 from .weights import WeightSpec, laplace_transform
 
 # complex entries of one exp(-i t log n) block in LogDerivSeries.evaluate
+# and in _evaluate_grid
 _EVAL_ENTRIES = 2**22
 
 # the abscissa search interval and its golden-section step count
@@ -81,6 +82,38 @@ class LogDerivSeries:
         for i in range(0, t.size, rows):
             out[i: i + rows] = np.exp(-1j * np.outer(t[i: i + rows], logn)) @ amp
         return out
+
+
+def _evaluate_grid(series: LogDerivSeries, t0: float, h: float, count: int) -> np.ndarray:
+    """Z(sigma0 + i t_k) at the count nodes t_k = t0 + k h, equal to
+    series.evaluate on them up to rounding.
+
+    With k = b J + j and J, B about sqrt(count), the phase splits as
+    e^{-i t_k log n} = e^{-i (t0 + b J h) log n} e^{-i j h log n}, so the
+    values are the entries (j, b) of one matrix product E @ A with
+    E[j, n] = e^{-i j h log n} and A[n, b] = c_n n^-sigma0 e^{-i (t0 + b J h) log n}:
+    (J + B) exponentials per term instead of count.  The terms run in
+    blocks of about _EVAL_ENTRIES entries of E and A together, to bound
+    memory.
+    """
+    rows = math.isqrt(max(count - 1, 0)) + 1
+    cols = -(-count // rows)
+    out = np.zeros((rows, cols), dtype=complex)
+    logn = np.log(series.values.astype(float))
+    amp = series.coeffs * series.values.astype(float) ** -series.sigma0
+    j_phase = -1j * h * np.arange(rows)
+    b_phase = -1j * (t0 + rows * h * np.arange(cols))
+    width = max(1, _EVAL_ENTRIES // (rows + cols))
+    for i in range(0, logn.size, width):
+        # exponentials in place: E and A are the only blocks alive
+        e = np.multiply.outer(j_phase, logn[i: i + width])
+        a = np.multiply.outer(logn[i: i + width], b_phase)
+        np.exp(e, out=e)
+        np.exp(a, out=a)
+        a *= amp[i: i + width, None]
+        out += e @ a
+    # column b holds the nodes b J .. b J + J - 1
+    return out.T.reshape(-1)[:count]
 
 
 def zeta_log_deriv(n_max: int) -> LogDerivSeries:
@@ -232,19 +265,17 @@ def contour_sum(series: LogDerivSeries, spec: WeightSpec, t_max: float,
                    sigma0=sigma0)
     steps = max(2, int(math.ceil(t_max / quad_step)))
     steps += steps % 2  # even count so the coarse grid uses every 2nd node
-    fine, h = np.linspace(0.0, t_max, 2 * steps + 1, retstep=True)
-
-    vals = line.evaluate(fine) * laplace_transform(spec, -(sigma0 + 1j * fine) * spec.log_x)
     if line.is_real and not force_full_line:
+        fine, h = np.linspace(0.0, t_max, 2 * steps + 1, retstep=True)
         scale = spec.log_x / math.pi
     else:
-        # no conjugate symmetry: integrate both half-lines explicitly
-        # (their trapezoid endpoint halves at t = 0 add to full weight)
-        vals = vals + line.evaluate(-fine) * laplace_transform(
-            spec, -(sigma0 - 1j * fine) * spec.log_x)
+        # no conjugate symmetry: integrate the whole line
+        fine, h = np.linspace(-t_max, t_max, 4 * steps + 1, retstep=True)
         scale = spec.log_x / (2.0 * math.pi)
-    s_fine = scale * np.trapezoid(vals, dx=float(fine[1] - fine[0]))
-    s_coarse = scale * np.trapezoid(vals[::2], dx=float(fine[2] - fine[0]))
+    vals = (_evaluate_grid(line, fine[0], h, fine.size)
+            * laplace_transform(spec, -(sigma0 + 1j * fine) * spec.log_x))
+    s_fine = scale * np.trapezoid(vals, dx=h)
+    s_coarse = scale * np.trapezoid(vals[::2], dx=2.0 * h)
     quad_error = abs(s_fine - s_coarse) / 3.0
 
     # prime powers the weight can see but the series does not carry

@@ -179,6 +179,13 @@ def test_curves_file_input(tmp_path):
     assert len(text.splitlines()) == 3  # header + one row per curve
 
 
+def test_lang_trotter_flags_cm_from_the_j_invariant():
+    for curve, flagged in (("0,1", True), ("1,1", False)):
+        code, text = run(["lang-trotter", "--curve", curve, "--mode", "trace", "--x", "500"])
+        assert code == 0
+        assert json.loads(text)["cm_flagged"] is flagged
+
+
 def test_memory_budget_enforced():
     code, text = run(["pi-ap", "--q", "4", "--a", "1", "--x", "1e7",
                       "--memory-budget", "1000000"])

@@ -142,6 +142,16 @@ def test_frobenius_traces_validates_its_primes():
             trace_of_frobenius(E, int(p), "charsum").a_p for p in ps]
 
 
+def test_charsum_refuses_primes_past_its_table_limit():
+    # 2^28 + 3 is the first prime past the limit; (1, 1) has good reduction there
+    E, p = CurveModel(1, 1), 2**28 + 3
+    assert elliptic._CHARSUM_LIMIT < p and E.has_good_reduction(p)
+    with pytest.raises(CapacityError):
+        trace_of_frobenius(E, p, "charsum")
+    with pytest.raises(CapacityError):
+        frobenius_traces(E, [p], "charsum")
+
+
 def test_trace_cache_keeps_the_newest_curves(monkeypatch):
     monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
     traced = []
@@ -283,6 +293,17 @@ def test_shape_report_ratios_finite_and_modes():
         growth_shape_report(series, "both")
     with pytest.raises(DomainError):
         growth_shape_report(CountSeries(np.array([2.0]), np.array([0.0]), "low"), "trace")
+
+
+def test_has_cm_reads_the_j_invariant():
+    # y^2 = x^3 + 1 (j = 0), y^2 = x^3 - x (j = 1728), and for every other
+    # rational CM j-invariant the curve A = 3j(1728 - j), B = 2j(1728 - j)^2
+    cm = [CurveModel(0, 1), CurveModel(-1, 0)]
+    cm += [CurveModel(3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
+           for j in (-3375, 8000, -32768, 54000, 287496, -884736, -12288000, 16581375,
+                     -884736000, -147197952000, -262537412640768000)]
+    assert all(E.has_cm for E in cm)
+    assert not any(E.has_cm for E in TEST_CURVES)
 
 
 def test_read_curves_roundtrip(tmp_path):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebkit.chebotarev import (FULL, SPLIT, ConjClass, cyclotomic_field,
                                 quadratic_field, trivial_extension,
                                 weighted_prime_sum)
+from chebkit import explicit
 from chebkit.errors import DomainError
-from chebkit.explicit import (LogDerivSeries, character_log_deriv,
+from chebkit.explicit import (LogDerivSeries, _evaluate_grid, character_log_deriv,
                               class_log_deriv, class_log_deriv_via_characters,
                               contour_sum, support_cap, tail_bound,
                               zeta_log_deriv)
@@ -53,14 +54,29 @@ def test_character_series_values():
         character_log_deriv(4, 2, 50)
 
 
-def test_class_series_matches_character_combination():
-    for q, a in [(4, 1), (4, 3), (5, 2), (7, 3), (8, 5), (12, 7), (16, 3), (32, 7),
-                 (48, 5)]:
-        direct = class_log_deriv(cyclotomic_field(q), ConjClass(a), 3000)
-        combo = class_log_deriv_via_characters(q, a, 3000)
-        assert np.array_equal(direct.values, combo.values)
-        assert np.allclose(direct.coeffs, combo.coeffs, atol=1e-9)
-        assert combo.is_real
+COPRIME_RESIDUES = st.integers(min_value=3, max_value=200).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(min_value=1, max_value=q - 1).filter(
+        lambda a: math.gcd(a, q) == 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(COPRIME_RESIDUES, st.integers(min_value=2, max_value=3000))
+@example((4, 1), 3000)
+@example((4, 3), 3000)
+@example((5, 2), 3000)
+@example((7, 3), 3000)
+@example((8, 5), 3000)
+@example((12, 7), 3000)
+@example((16, 3), 3000)
+@example((32, 7), 3000)
+@example((48, 5), 3000)
+def test_class_series_matches_character_combination(qa, n_max):
+    q, a = qa
+    direct = class_log_deriv(cyclotomic_field(q), ConjClass(a), n_max)
+    combo = class_log_deriv_via_characters(q, a, n_max)
+    assert np.array_equal(direct.values, combo.values)
+    assert np.allclose(direct.coeffs, combo.coeffs, atol=1e-9)
+    assert combo.is_real
 
 
 def test_zeta_series_equals_trivial_class_series():
@@ -75,6 +91,51 @@ def test_evaluate_at_zero_height():
     z0 = s.evaluate(np.array([0.0]))[0]
     assert z0.imag == pytest.approx(0.0, abs=1e-12)
     assert z0.real == pytest.approx(NEG_ZETA_LOGDERIV_AT_2, abs=2e-3)
+
+
+def _random_series(seed: int, n_max: int, complex_coeffs: bool, sigma0: float):
+    rng = np.random.default_rng(seed)
+    values = zeta_log_deriv(n_max).values
+    coeffs = rng.normal(size=values.size) + 0j
+    if complex_coeffs:
+        coeffs += 1j * rng.normal(size=values.size)
+    return LogDerivSeries(values=values, coeffs=coeffs, n_max=n_max, sigma0=sigma0)
+
+
+def _assert_grid_matches_direct(series, t0, h, count):
+    grid = _evaluate_grid(series, t0, h, count)
+    direct = series.evaluate(t0 + h * np.arange(count))
+    scale = float(np.sum(np.abs(series.coeffs) * series.values.astype(float) ** -series.sigma0))
+    assert grid.shape == (count,)
+    assert np.all(np.abs(grid - direct) <= 1e-10 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=3000),
+       st.booleans(), st.floats(min_value=0.01, max_value=2.0),
+       st.one_of(st.just(0.0), st.floats(min_value=-600.0, max_value=-1e-3)),
+       st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+       st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=2, max_value=70).map(
+           lambda r: r * r), st.integers(min_value=4, max_value=5000)))
+def test_grid_kernel_matches_direct_evaluation(seed, n_max, complex_coeffs, sigma0, t0, h,
+                                               count):
+    # two methods: one exponential per (node, term) against the split
+    # phases of the matrix product
+    _assert_grid_matches_direct(_random_series(seed, n_max, complex_coeffs, sigma0),
+                                t0, h, count)
+
+
+@pytest.mark.parametrize("count", [1, 400, 401, 999])
+def test_grid_kernel_term_blocks(monkeypatch, count):
+    # a small block size splits the series into many term blocks, each
+    # adding its partial product
+    monkeypatch.setattr(explicit, "_EVAL_ENTRIES", 500)
+    _assert_grid_matches_direct(_random_series(7, 2000, True, 0.3), -250.0, 0.05, count)
+
+
+def test_grid_kernel_on_an_empty_series():
+    empty = zeta_log_deriv(1)
+    assert np.array_equal(_evaluate_grid(empty, 0.0, 0.1, 5), np.zeros(5, dtype=complex))
 
 
 # ------------------------------------------------------------ tail bound
