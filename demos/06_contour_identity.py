@@ -3,9 +3,11 @@
 The weighted sum S(x) = sum Lambda(n) [class] f(log n/log x) equals the
 vertical-line integral (log x/2 pi) int Z(s0+it) F(-(s0+it) log x) dt of the
 finite Dirichlet polynomial against the weight transform, on any line
-s0 > 0.  The contour side takes the line s0 that minimises its tail bound
-and reports an error budget (tail bound + quadrature estimate) that must
-cover the measured difference.
+s0 > 0.  The contour side takes the line s0 that minimises its tail bound,
+integrates on a trapezoid grid below the integrand's Nyquist step, where the
+rule is exact on the whole line, and reports an error budget of proven
+bounds (tail bound + the grid nodes beyond t_max) that must cover the
+measured difference.
 """
 
 from chebkit import (ConjClass, WeightSpec, class_log_deriv, contour_sum,

@@ -152,8 +152,8 @@ def count_represented_primes(form: ReducedForm, x: int,
     table; cost O(x/sqrt(D)) per form.
     """
     x = int(x)
+    ps = primes_upto(x)  # the sieve's capacity guard, before the x-entry table
     rep = represented_values(form, x)
-    ps = primes_upto(x)
     return CountSeries.of_hits(
         ps[rep[ps]], x, checkpoints,
         f"primes represented by ({form.a},{form.b},{form.c}), disc -{form.D}")

@@ -4,12 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from chebkit import bqf
 from chebkit.arith import kronecker
 from chebkit.bqf import (ClassGroupSummary, ReducedForm, class_number,
                          count_represented_primes, delta_q, reduce_form,
                          representation_density_report, represented_values,
                          split_prime_count)
-from chebkit.errors import DomainError
+from chebkit.errors import CapacityError, DomainError
 from chebkit.sieve import primes_upto
 
 
@@ -226,3 +227,13 @@ def test_disjoint_cover_identity():
             weighted += np.count_nonzero(hits) / (2 * delta_q(f))
         assert bool(np.all(covered)), f"uncovered split primes for D={D}"
         assert weighted == split_primes.size
+
+
+def test_sieve_guard_fires_before_the_represented_value_table(monkeypatch):
+    # at x = 1e10 the table of represented values would take 10 GB
+    def unreachable(form, x):
+        raise AssertionError("represented_values reached past the sieve's guard")
+
+    monkeypatch.setattr(bqf, "represented_values", unreachable)
+    with pytest.raises(CapacityError):
+        count_represented_primes(reduce_form(2, 1, 3), 10**10)

@@ -73,11 +73,13 @@ def test_config_file_supplies_defaults(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("quux = 1\n")
-    code, text = run(["--config", str(cfg), "pi-ap", "--q", "4", "--a", "1",
-                      "--x", "100"])
-    assert code == 2
-    assert "unknown config keys" in text
+    # step and memory_budget were flags once and are gone
+    for text in ("quux = 1\n", "step = 0.05\n", "memory_budget = 1000000\n"):
+        cfg.write_text(text)
+        code, out = run(["--config", str(cfg), "pi-ap", "--q", "4", "--a", "1",
+                         "--x", "100"])
+        assert code == 2
+        assert "unknown config keys" in out
 
 
 def test_config_accepts_every_flag(tmp_path):
@@ -187,10 +189,16 @@ def test_lang_trotter_flags_cm_from_the_j_invariant():
 
 
 def test_memory_budget_enforced():
-    code, text = run(["pi-ap", "--q", "4", "--a", "1", "--x", "1e7",
-                      "--memory-budget", "1000000"])
-    assert code == 2
-    assert "memory budget" in text
+    # the sieve's fixed 2^33 guard refuses x = 1e10 before any table is built
+    for argv in (["pi-ap", "--q", "4", "--a", "1"],
+                 ["lang-trotter", "--curve", "1,1", "--mode", "trace"]):
+        code, text = run([*argv, "--x", "1e10"])
+        assert code == 2
+        assert "exceeds memory budget 8589934592" in text
+    # a command that sieves nothing takes any x
+    code, _ = run(["weights-verify", "--x", "1e10", "--ell", "2", "--eps", "0.1",
+                   "--samples", "5"])
+    assert code == 0
 
 
 SAMPLES = {

@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from chebkit.chebotarev import (FULL, SPLIT, ConjClass, cyclotomic_field,
                                 quadratic_field, trivial_extension,
                                 weighted_prime_sum)
 from chebkit import explicit
+from chebkit.characters import character_table
 from chebkit.errors import DomainError
 from chebkit.explicit import (LogDerivSeries, _evaluate_grid, character_log_deriv,
                               class_log_deriv, class_log_deriv_via_characters,
@@ -21,26 +24,6 @@ NEG_ZETA_LOGDERIV_AT_2 = 0.5699618236417963
 
 
 # ----------------------------------------------------------- the series
-
-def test_zeta_series_absolute_value_bound():
-    s = zeta_log_deriv(10**5)
-    # z_sup = partial sum + tail majorant: must bracket the true value
-    true = NEG_ZETA_LOGDERIV_AT_2
-    assert s.z_sup >= true
-    assert s.z_sup <= true + 2 * s.series_tail_bound()
-
-
-def test_series_tail_majorant_dominates_true_tail():
-    small, big = zeta_log_deriv(500), zeta_log_deriv(10**5)
-    partial_small = small.z_sup - small.series_tail_bound()
-    partial_big = big.z_sup - big.series_tail_bound()
-    assert partial_big - partial_small <= small.series_tail_bound()
-
-
-def test_z_sup_monotone_in_truncation():
-    sups = [zeta_log_deriv(n).z_sup for n in (100, 500, 2500, 12500)]
-    assert all(b <= a + 1e-15 for a, b in zip(sups, sups[1:]))
-
 
 def test_character_series_values():
     # the nontrivial character mod 4 weights Lambda(n) by (-1)^((n-1)/2)
@@ -201,14 +184,20 @@ def test_single_complex_character_roundtrip():
 
 
 def test_symmetrized_integral_is_real():
-    # full-line evaluation of a real-coefficient series: the imaginary
-    # part must cancel to ~1e-8 relative
+    # a real series is folded onto the half line and has no imaginary part
     spec = WeightSpec(x=100.0, ell=2, eps=0.1)
     series = zeta_log_deriv(support_cap(spec))
-    res = contour_sum(series, spec, t_max=100.0, force_full_line=True)
-    assert abs(res.imag_part) <= 1e-8 * abs(res.value)
     sym = contour_sum(series, spec, t_max=100.0)
-    assert res.value == pytest.approx(sym.value, rel=1e-10)
+    assert sym.imag_part == 0.0
+    # the same series rotated by e^{i phi} takes the whole line: rotated
+    # back, its integral is the folded value and the imaginary part cancels
+    phi = 0.7
+    rotated = replace(series, coeffs=series.coeffs * cmath.exp(1j * phi))
+    assert not rotated.is_real
+    res = contour_sum(rotated, spec, t_max=100.0)
+    back = cmath.exp(-1j * phi) * complex(res.value, res.imag_part)
+    assert back.real == pytest.approx(sym.value, rel=1e-10)
+    assert abs(back.imag) <= 1e-10 * abs(sym.value)
 
 
 def test_budget_decreases_with_t_max_and_n_max():
@@ -241,8 +230,58 @@ def test_chosen_abscissa_budget_against_direct_sum(q, class_pick, x, ell, eps):
     direct = weighted_prime_sum(ext, cls, spec)
     assert abs(res.value - direct) <= res.budget
     # the chosen line never reports a looser tail than Re s = 2 did
-    assert res.tail <= tail_bound(spec, t_max, 2.0, series.z_sup)
+    z2 = float(np.sum(np.abs(series.coeffs) * series.values.astype(float) ** -2.0))
+    assert res.tail <= tail_bound(spec, t_max, 2.0, z2)
     assert 0.01 <= res.sigma0 <= 2.0
+
+
+def _band_limit(spec: WeightSpec) -> float:
+    """Largest |v| with v = u log x - log n, u in spec.support, 2 <= n <= cap."""
+    lo, hi = spec.support
+    return max(abs(lo * spec.log_x - math.log(support_cap(spec))),
+               abs(hi * spec.log_x - math.log(2.0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["zeta", "class", "char"]), st.integers(min_value=0, max_value=2**16),
+       st.floats(min_value=50.0, max_value=2000.0), st.sampled_from([2, 3]),
+       st.floats(min_value=0.05, max_value=0.2))
+def test_aliasing_free_step_against_direct_sum(kind, pick, x, ell, eps):
+    spec = WeightSpec(x=x, ell=ell, eps=eps)
+    cap, t_max = support_cap(spec), 300.0
+    if kind == "char":
+        q = (5, 7, 13)[pick % 3]
+        complex_rows = [i for i, row in enumerate(character_table(q))
+                        if np.any(np.abs(row.imag) > 1e-9)]
+        series = character_log_deriv(q, complex_rows[pick % len(complex_rows)], cap)
+        t = np.log(series.values.astype(float)) / spec.log_x
+        direct = complex(np.sum(series.coeffs * weight_value(spec, t)))
+    else:
+        if kind == "zeta":
+            ext, cls = trivial_extension(), ConjClass(FULL)
+            series = zeta_log_deriv(cap)
+        else:
+            q = (4, 5, 8)[pick % 3]
+            residues = [a for a in range(1, q) if math.gcd(a, q) == 1]
+            ext, cls = cyclotomic_field(q), ConjClass(residues[pick % len(residues)])
+            series = class_log_deriv(ext, cls, cap)
+        direct = weighted_prime_sum(ext, cls, spec)
+    res = contour_sum(series, spec, t_max)
+    value = complex(res.value, res.imag_part)
+    h = res.quad_step
+    # below the Nyquist step, on a grid that ends at t_max
+    assert h < 2.0 * math.pi / _band_limit(spec)
+    assert t_max / h == pytest.approx(round(t_max / h), rel=1e-12)
+    # two independent methods, with no estimated term in the budget
+    assert abs(value - direct) <= res.budget
+    assert res.budget == res.tail + res.quad_error + res.coverage_gap
+    assert res.quad_error == pytest.approx(res.tail * h * ell / (4.0 * math.pi * t_max),
+                                           rel=1e-12)
+    # quad_step caps the step, and halving it moves the value far inside
+    # the budget
+    half = contour_sum(series, spec, t_max, quad_step=h / 2.0)
+    assert half.quad_step <= h / 2.0
+    assert abs(complex(half.value, half.imag_part) - value) <= 0.01 * res.budget
 
 
 def test_chosen_abscissa_ignores_terms_beyond_support():
