@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import kronecker
 from .errors import DomainError
 from .reports import PowerValue
 from .sieve import CountSeries, li, primes_upto
@@ -200,11 +199,3 @@ def representation_density_report(form: ReducedForm, x: int) -> FormDensityRepor
         asymptotic_threshold=threshold,
         in_proven_range=math.log(x) >= threshold.log,
     )
-
-
-def split_prime_count(D: int, x: int) -> int:
-    """#{p <= x : (-D|p) = 1}, the Kronecker-split primes for disc -D."""
-    ps = primes_upto(x)
-    disc = -D
-    table = np.array([kronecker(disc, r) for r in range(D)], dtype=np.int64)
-    return int(np.count_nonzero(table[ps % D] == 1))

@@ -321,12 +321,14 @@ def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
     ``_TRACE_CACHE_CURVES`` curves used.  A query past the cached horizon
     traces only the primes beyond it."""
     key, empty = (curve.A, curve.B), np.empty(0, dtype=np.int64)
-    top, ps, aps = _TRACE_CACHE.pop(key, (1, empty, empty))
+    top, ps, aps = _TRACE_CACHE.get(key, (1, empty, empty))
     if x > top:
         fresh = primes_upto(x)
         fresh = fresh[fresh > top]
         fresh = fresh[curve.has_good_reduction(fresh)]
         ps, aps, top = np.append(ps, fresh), np.append(aps, frobenius_traces(curve, fresh)), x
+    # replaced only after the sieve and traces succeed: a refused query keeps it
+    _TRACE_CACHE.pop(key, None)
     _TRACE_CACHE[key] = (top, ps, aps)
     if len(_TRACE_CACHE) > _TRACE_CACHE_CURVES:
         del _TRACE_CACHE[next(iter(_TRACE_CACHE))]

@@ -50,9 +50,9 @@ def euler_phi(q: int) -> int:
     return result
 
 
-def pi_ap(query: APQuery, primes: np.ndarray | None = None) -> int:
+def pi_ap(query: APQuery) -> int:
     """Exact count of primes p <= x with p = a (mod q); q = 1 counts all."""
-    ps = primes_upto(query.x) if primes is None else primes[primes <= query.x]
+    ps = primes_upto(query.x)
     if query.q == 1:
         return int(ps.size)
     return int(np.count_nonzero(ps % query.q == query.a % query.q))
@@ -68,8 +68,7 @@ def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.nda
     return np.bincount(ps % q, minlength=q).astype(np.int64)
 
 
-def _bt_compare(query: APQuery, primes: np.ndarray | None, coefficient, label: str,
-                **report) -> BoundReport:
+def _bt_compare(query: APQuery, coefficient, label: str, **report) -> BoundReport:
     """pi(x; q, a) against coefficient(theta) * x/(phi(q) log x), where
     theta = log q/log x; shared by the two Brun-Titchmarsh checks."""
     if query.q < 2:
@@ -77,27 +76,26 @@ def _bt_compare(query: APQuery, primes: np.ndarray | None, coefficient, label: s
     if query.x <= query.q:
         raise DomainError("check requires x > q so that theta < 1")
     theta = math.log(query.q) / math.log(query.x)
-    lhs = pi_ap(query, primes)
+    lhs = pi_ap(query)
     rhs = coefficient(theta) * query.x / (euler_phi(query.q) * math.log(query.x))
     return BoundReport.compare(float(lhs), rhs, label=label, **report)
 
 
-def montgomery_vaughan_check(query: APQuery, primes: np.ndarray | None = None) -> BoundReport:
+def montgomery_vaughan_check(query: APQuery) -> BoundReport:
     """Brun-Titchmarsh in Montgomery-Vaughan form:
 
         pi(x; q, a) <= 2/(1-theta) * x/(phi(q) log x),   theta = log q/log x.
     """
-    return _bt_compare(query, primes, lambda theta: 2.0 / (1.0 - theta),
+    return _bt_compare(query, lambda theta: 2.0 / (1.0 - theta),
                        "montgomery-vaughan")
 
 
-def maynard_check(query: APQuery, slack: float = 0.1,
-                  primes: np.ndarray | None = None) -> BoundReport:
+def maynard_check(query: APQuery, slack: float = 0.1) -> BoundReport:
     """Sharper bound pi(x; q, a) <= (C(theta) + slack) x/(phi(q) log x).
 
     The o(1) term has no stated rate, so ``slack`` stands in for it and
     the report is marked heuristic.
     """
-    return _bt_compare(query, primes, lambda theta: brun_titchmarsh_constant(theta) + slack,
+    return _bt_compare(query, lambda theta: brun_titchmarsh_constant(theta) + slack,
                        "piecewise-constant BT", heuristic=True,
                        notes="o(1) replaced by fixed slack")

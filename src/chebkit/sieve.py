@@ -15,9 +15,11 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-# Desk-scale guard: segmented_primes refuses ranges beyond this unless the
-# caller raises the budget explicitly.
-DEFAULT_MEMORY_BUDGET = 2**33
+# Desk-scale guard: segmented_primes refuses ranges beyond it, so every
+# table top is below 2^33 and every prime power p^m <= top raised from
+# p <= sqrt(top) stays below 2^50, exact in int64.
+_MEMORY_BUDGET = 2**33
+_LI_PANELS = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,7 @@ def simple_sieve(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def segmented_primes(lo: int, hi: int, segment_size: int = 2**20, *,
-                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
+def segmented_primes(lo: int, hi: int, segment_size: int = 2**20) -> np.ndarray:
     """Ascending int64 primes in [lo, hi) via a segmented Eratosthenes sieve.
 
     The interval is cut into ``segment_size`` blocks, each sieved
@@ -84,8 +85,8 @@ def segmented_primes(lo: int, hi: int, segment_size: int = 2**20, *,
         raise DomainError("segment_size must be at least 2**10")
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    if hi > memory_budget:
-        raise CapacityError(f"hi={hi} exceeds memory budget {memory_budget}")
+    if hi > _MEMORY_BUDGET:
+        raise CapacityError(f"hi={hi} exceeds memory budget {_MEMORY_BUDGET}")
     base = simple_sieve(math.isqrt(hi - 1))
     chunks = []
     for start in range(lo, hi, segment_size):
@@ -123,53 +124,45 @@ def prime_powers(limit: float, *, strict: bool = True) -> tuple[np.ndarray, np.n
     """Prime powers p^m < limit (``strict``) or <= limit, sorted by value.
 
     Returns (values, primes, exponents): the support of the von Mangoldt
-    function up to ``limit``.
+    function up to ``limit``.  The powers with m >= 2 are raised by exact
+    int64 products of the primes up to sqrt(limit) and merged into the
+    prime table; prime powers are distinct, so the merged order is total.
     """
     top = int(math.floor(limit))
-    if top < 2:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
     ps = primes_upto(top)
-    vals = [ps]
-    prs = [ps]
-    exps = [np.ones(ps.size, dtype=np.int64)]
-    m = 2
-    while 2 ** m <= top:
-        root = int(math.floor(top ** (1.0 / m)))
-        while (root + 1) ** m <= top:  # float roots can land one short
-            root += 1
-        while root >= 2 and root ** m > top:
-            root -= 1
-        if root < 2:
-            break
-        pm = ps[: int(np.searchsorted(ps, root, side="right"))]
-        vals.append(pm ** m)
-        prs.append(pm)
-        exps.append(np.full(pm.size, m, dtype=np.int64))
-        m += 1
-    values = np.concatenate(vals)
-    primes = np.concatenate(prs)
-    expons = np.concatenate(exps)
-    if strict:
-        keep = values < limit
-        values, primes, expons = values[keep], primes[keep], expons[keep]
-    order = np.argsort(values, kind="stable")
-    return values[order], primes[order], expons[order]
+    if strict and top == limit:
+        top -= 1
+        ps = ps[: int(np.searchsorted(ps, top, side="right"))]
+    base = ps[: int(np.searchsorted(ps, math.isqrt(max(top, 0)), side="right"))]
+    power, m = base, 1
+    vals, prs, exps = [ps[:0]], [ps[:0]], [ps[:0]]
+    while base.size:
+        power, m = power * base, m + 1
+        power = power[: int(np.searchsorted(power, top, side="right"))]
+        base = base[: power.size]
+        vals.append(power)
+        prs.append(base)
+        exps.append(np.full(base.size, m, dtype=np.int64))
+    order = np.argsort(np.concatenate(vals))
+    vals, prs, exps = (np.concatenate(c)[order] for c in (vals, prs, exps))
+    at = np.searchsorted(ps, vals)
+    return (np.insert(ps, at, vals), np.insert(ps, at, prs),
+            np.insert(np.ones(ps.size, dtype=np.int64), at, exps))
 
 
-def li(x: float, panels: int = 10_000) -> float:
+def li(x: float) -> float:
     """Logarithmic integral Li(x) = int_2^x dt/log t.
 
     Composite Simpson after the substitution t = e^u, which makes the
-    integrand smooth enough that 10^4 panels give ~1e-12 relative accuracy
-    across the desk range.
+    integrand smooth enough that ``_LI_PANELS`` = 10^4 panels give ~1e-12
+    relative accuracy across the desk range.
     """
     if x < 2:
         raise DomainError("li(x) requires x >= 2")
     if x == 2:
         return 0.0
     a, b = math.log(2.0), math.log(x)
-    n = 2 * panels
+    n = 2 * _LI_PANELS
     u = np.linspace(a, b, n + 1)
     g = np.exp(u) / u
     w = np.ones(n + 1)

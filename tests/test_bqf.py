@@ -8,8 +8,8 @@ from chebkit import bqf
 from chebkit.arith import kronecker
 from chebkit.bqf import (ClassGroupSummary, ReducedForm, class_number,
                          count_represented_primes, delta_q, reduce_form,
-                         representation_density_report, represented_values,
-                         split_prime_count)
+                         representation_density_report, represented_values)
+from chebkit.chebotarev import SPLIT, ConjClass, pi_class, quadratic_field
 from chebkit.errors import CapacityError, DomainError
 from chebkit.sieve import primes_upto
 
@@ -212,12 +212,13 @@ def test_disjoint_cover_identity():
     # count: sum over classes of count/(2 delta_Q) = #{p : (-D|p) = 1}
     x = 10**5
     ps = primes_upto(x)
-    for D in (4, 20, 23, 40):
+    # the field Q(sqrt(d)) has discriminant -D
+    for D, d in ((4, -1), (20, -5), (23, -23), (40, -10)):
         summary = class_number(D)
         table = np.array([kronecker(-D, r) for r in range(D)])
         split_mask = table[ps % D] == 1
         split_primes = ps[split_mask]
-        assert split_prime_count(D, x) == split_primes.size
+        assert pi_class(quadratic_field(d), ConjClass(SPLIT), x) == split_primes.size
         covered = np.zeros(split_primes.size, dtype=bool)
         weighted = 0.0
         for f in summary.forms:

@@ -177,6 +177,18 @@ def test_trace_cache_keeps_the_newest_curves(monkeypatch):
     assert len(elliptic._TRACE_CACHE) == cap
 
 
+def test_refused_query_keeps_the_cached_table(monkeypatch):
+    # the sieve refuses 10^10 before it allocates anything
+    monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
+    E = CurveModel(1, 1)
+    ps, aps = trace_table(E, 1000)
+    with pytest.raises(CapacityError):
+        trace_table(E, 10**10)
+    top, cached_ps, cached_aps = elliptic._TRACE_CACHE[(1, 1)]
+    assert top == 1000
+    assert np.array_equal(cached_ps, ps) and np.array_equal(cached_aps, aps)
+
+
 def test_disc_part_is_negative_squarefree():
     ps, aps = trace_table(CurveModel(1, 1), 3000)
     for p, a in zip(ps[:200], aps[:200]):

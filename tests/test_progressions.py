@@ -91,8 +91,3 @@ def test_maynard_degenerate_slack_fails_and_flags():
 
 def test_maynard_passes_at_desk_scale():
     assert maynard_check(APQuery(q=7, a=3, x=10**6)).passed
-
-
-def test_shared_prime_table_is_honored():
-    primes = primes_upto(1000)
-    assert pi_ap(APQuery(q=4, a=1, x=100), primes=primes) == 11

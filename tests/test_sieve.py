@@ -120,14 +120,14 @@ def test_primes_upto_sieves_only_new_windows_inside_budget(monkeypatch):
     primes_upto(2**32 + 1)
     assert windows == [(2, 1001), (1001, 5001), (5001, 2**32 + 2)]
     # no sieve goes past n + 1, which must fit the default budget when n does
-    assert windows[-1][1] <= sieve.DEFAULT_MEMORY_BUDGET
+    assert windows[-1][1] <= sieve._MEMORY_BUDGET
 
 
 def test_primes_upto_past_budget_leaves_table_intact(monkeypatch):
     monkeypatch.setattr(sieve, "_table", (1, np.empty(0, dtype=np.int64)))
     primes_upto(100)
     with pytest.raises(CapacityError):
-        primes_upto(sieve.DEFAULT_MEMORY_BUDGET + 5)
+        primes_upto(sieve._MEMORY_BUDGET + 5)
     assert np.array_equal(primes_upto(200), simple_sieve(200))
 
 
@@ -157,6 +157,37 @@ def test_prime_powers_strictness():
     strict = prime_powers(16, strict=True)[0].tolist()
     incl = prime_powers(16, strict=False)[0].tolist()
     assert 16 not in strict and 16 in incl
+
+
+def brute_prime_powers(limit, strict):
+    """(p^m, p, m) below (``strict``) or up to ``limit``, raised in Python ints."""
+    found = []
+    for p in simple_sieve(math.floor(limit)).tolist():
+        v, m = p, 1
+        while v < limit or (not strict and v == limit):
+            found.append((v, p, m))
+            v, m = v * p, m + 1
+    return sorted(found)
+
+
+SMALL_PRIME_POWERS = [p ** m for p in simple_sieve(450).tolist() for m in range(1, 18)
+                      if p ** m <= 200_000]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+           st.floats(min_value=0.0, max_value=2e5),
+           st.floats(min_value=0.0, max_value=2.0),
+           st.integers(min_value=0, max_value=200_000),
+           st.sampled_from(SMALL_PRIME_POWERS),
+           st.builds(lambda v, d: v + d, st.sampled_from(SMALL_PRIME_POWERS),
+                     st.sampled_from([-1e-7, 1e-7, -1.0, 1.0]))),
+       st.booleans())
+def test_prime_powers_match_brute_force(limit, strict):
+    got = prime_powers(limit, strict=strict)
+    assert all(a.dtype == np.int64 for a in got)
+    assert list(zip(*(a.tolist() for a in got))) == brute_prime_powers(limit, strict)
+    assert np.all(np.diff(got[0]) > 0)
 
 
 # -------------------------------------------------------------------- li
