@@ -132,23 +132,6 @@ def class_log_deriv(ext: AbelianExtension, cls: ConjClass, n_max: int) -> LogDer
     return LogDerivSeries(values=kept, coeffs=logp.astype(complex), n_max=n_max)
 
 
-def class_log_deriv_via_characters(q: int, residue: int, n_max: int) -> LogDerivSeries:
-    """The residue-class combination (1/phi(q)) sum_chi conj(chi(a)) chi(n),
-    assembled from the character series; equals the direct indicator."""
-    if math.gcd(residue, q) != 1:
-        raise DomainError("residue must be coprime to the modulus")
-    table = character_table(q)
-    values, primes, _ = prime_powers(n_max, strict=False)
-    combo = np.zeros(values.size, dtype=complex)
-    for row in table:
-        combo += np.conj(row[residue % q]) * row[values % q]
-    combo /= table.shape[0]
-    coeffs = np.log(primes) * combo
-    # true coefficients are at least log 2; anything tiny is cancellation dust
-    keep = np.abs(coeffs) > 1e-9
-    return LogDerivSeries(values=values[keep], coeffs=coeffs[keep], n_max=n_max)
-
-
 def support_cap(spec: WeightSpec) -> int:
     """Largest integer the weight can see: ceil(x^(1 + eps/log x))."""
     return int(math.ceil(spec.x ** spec.support[1]))

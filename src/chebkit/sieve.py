@@ -19,6 +19,8 @@ from .errors import CapacityError, DomainError
 # table top is below 2^33 and every prime power p^m <= top raised from
 # p <= sqrt(top) stays below 2^50, exact in int64.
 _MEMORY_BUDGET = 2**33
+# numbers sieved per block of segmented_primes; the output does not depend on it
+_SEGMENT_SIZE = 2**20
 _LI_PANELS = 10_000
 
 
@@ -72,25 +74,23 @@ def simple_sieve(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def segmented_primes(lo: int, hi: int, segment_size: int = 2**20) -> np.ndarray:
+def segmented_primes(lo: int, hi: int) -> np.ndarray:
     """Ascending int64 primes in [lo, hi) via a segmented Eratosthenes sieve.
 
-    The interval is cut into ``segment_size`` blocks, each sieved
+    The interval is cut into ``_SEGMENT_SIZE`` blocks, each sieved
     independently with the base primes up to sqrt(hi); results are merged
     in order, so the output is independent of the segmentation.
     """
     lo = max(int(lo), 2)
     hi = int(hi)
-    if segment_size < 2**10:
-        raise DomainError("segment_size must be at least 2**10")
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     if hi > _MEMORY_BUDGET:
         raise CapacityError(f"hi={hi} exceeds memory budget {_MEMORY_BUDGET}")
     base = simple_sieve(math.isqrt(hi - 1))
     chunks = []
-    for start in range(lo, hi, segment_size):
-        stop = min(start + segment_size, hi)
+    for start in range(lo, hi, _SEGMENT_SIZE):
+        stop = min(start + _SEGMENT_SIZE, hi)
         mask = np.ones(stop - start, dtype=bool)
         for p in base:
             p = int(p)

@@ -8,16 +8,16 @@ of a box kernel of half-width A = eps/(2*ell*log x) with the indicator of
     F(z) = exp(-(1+2*ell*A)*z) * (1 - exp((1/2+2*ell*A)*z))/(-z)
                                * ((1 - exp(2*A*z))/(-2*A*z))**ell
 
-is entire; the z = 0 singularity of each factor is removable.  The module
-also verifies the transform's decay inequalities, which the contour
-machinery relies on.
+is entire; the z = 0 singularity of each factor is removable.  The weight
+itself is exact to rounding for every ell, with no ell cutoff and no grid
+fallback.  The module also verifies the transform's decay inequalities,
+which the contour machinery relies on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .reports import BoundReport
 # switch each (1-exp(c*z))/(-c*z) factor to a 6-term series below this |c*z|
 # to avoid catastrophic cancellation near z = 0
 SERIES_THRESHOLD = 1e-4
-
-# closed-form convolution CDF is numerically safe up to this many folds;
-# beyond it the grid evaluator takes over
-_MAX_CLOSED_FORM_ELL = 16
 
 
 @dataclass(frozen=True)
@@ -84,36 +80,28 @@ def laplace_transform(spec: WeightSpec, z: complex | np.ndarray) -> complex | np
     return complex(out) if scalar else out
 
 
-@lru_cache(maxsize=64)
-def _irwin_hall_coeffs(ell: int) -> tuple[float, ...]:
-    fact = math.factorial(ell)
-    return tuple((-1) ** k * math.comb(ell, k) / fact for k in range(ell + 1))
-
-
 def _uniform_sum_cdf(s: np.ndarray, ell: int) -> np.ndarray:
-    """CDF of a sum of ell iid Uniform[0,1] variables (piecewise polynomial)."""
+    """CDF of a sum of ell iid Uniform[0,1] variables by de Boor's recurrence
+    F_j(s) = (s F_{j-1}(s) + (j - s) F_{j-1}(s - 1)) / j, F_0(s) = [s >= 0]:
+    on 0 < s < j each step is a convex combination, so nothing cancels."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s >= ell] = 1.0
+    out = np.where(s >= ell, 1.0, 0.0)
     mid = (s > 0) & (s < ell)
     if np.any(mid):
-        sm = s[mid]
-        acc = np.zeros_like(sm)
-        for k, coef in enumerate(_irwin_hall_coeffs(ell)):
-            acc += coef * np.maximum(sm - k, 0.0) ** ell
-        out[mid] = acc
+        u = s[mid] - np.arange(ell + 1.0)[:, None]  # row k holds s - k
+        f = (u >= 0).astype(float)
+        for j in range(1, ell + 1):
+            f = (u[:-j] * f[:-1] + (j - u[:-j]) * f[1:]) / j
+        out[mid] = f[0]
     return out
 
 
 def weight_value(spec: WeightSpec, t: float | np.ndarray) -> float | np.ndarray:
     """The weight f(t): 1 on [1/2,1], 0 outside the support, smooth between.
 
-    Evaluated in closed form as a difference of two convolution CDFs; for
-    ell beyond the numerically safe range a grid convolution (linear
-    interpolation between nodes) takes over.
+    Evaluated as a difference of two convolution CDFs, exact to rounding
+    for every ell.
     """
-    if spec.ell > _MAX_CLOSED_FORM_ELL:
-        return _weight_value_grid(spec, t)
     scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)
     tt = np.asarray(t, dtype=float)
     a2 = 2.0 * spec.A
@@ -121,30 +109,6 @@ def weight_value(spec: WeightSpec, t: float | np.ndarray) -> float | np.ndarray:
     u2 = (tt - 1.0) / a2
     f = _uniform_sum_cdf(u1, spec.ell) - _uniform_sum_cdf(u2, spec.ell)
     f = np.clip(f, 0.0, 1.0)
-    return float(f) if scalar else f
-
-
-def _grid_samples(spec: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Iterated box-kernel convolution of the inner indicator on a uniform grid."""
-    ell, A = spec.ell, spec.A
-    k = 2 * max(1, round(128 / ell))  # ~ step (eps/log x)/256
-    h = 2.0 * A / k
-    lo = 0.5 - 2 * ell * A - 2 * h
-    hi = 1.0 + 2 * ell * A + 2 * h
-    grid = lo + h * np.arange(int(round((hi - lo) / h)) + 1)
-    g = ((grid >= 0.5 - ell * A) & (grid <= 1.0 + ell * A)).astype(float)
-    kernel = np.full(k + 1, h / (2.0 * A))
-    kernel[0] *= 0.5
-    kernel[-1] *= 0.5
-    for _ in range(ell):
-        g = np.convolve(g, kernel, mode="same")
-    return grid, np.clip(g, 0.0, 1.0)
-
-
-def _weight_value_grid(spec: WeightSpec, t):
-    scalar = np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0)
-    grid, g = _grid_samples(spec)
-    f = np.interp(np.asarray(t, dtype=float), grid, g, left=0.0, right=0.0)
     return float(f) if scalar else f
 
 

@@ -53,6 +53,15 @@ def test_byte_identical_repeat_runs():
     assert run(argv_csv) == run(argv_csv)
 
 
+def test_mellin_check_direct_side_exact_beyond_sixteen_folds():
+    # both sides of the identity agree at ell = 17: the direct side's weight
+    # is exact for every ell, not only for small fold counts
+    code, text = run(["--format", "json", "mellin-check", "--q", "1", "--x", "1e4",
+                      "--ell", "17", "--eps", "0.2", "--t-max", "2000"])
+    assert code == 0
+    assert json.loads(text)["difference"] < 1e-6
+
+
 def test_global_flags_accepted_after_subcommand():
     before = run(["--format", "csv", "pi-ap", "--q", "4", "--a", "1", "--x", "100"])
     after = run(["pi-ap", "--q", "4", "--a", "1", "--x", "100", "--format", "csv"])

@@ -1,0 +1,25 @@
+"""Each demo in ``demos/`` runs to completion in a fresh interpreter.
+
+A demo is run as a reader would run it, with ``PYTHONPATH=src``; one that
+raises, or prints nothing, fails here.  One interpreter runs at a time.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

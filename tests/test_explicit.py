@@ -14,9 +14,9 @@ from chebkit import explicit
 from chebkit.characters import character_table
 from chebkit.errors import DomainError
 from chebkit.explicit import (LogDerivSeries, _evaluate_grid, character_log_deriv,
-                              class_log_deriv, class_log_deriv_via_characters,
-                              contour_sum, support_cap, tail_bound,
+                              class_log_deriv, contour_sum, support_cap, tail_bound,
                               zeta_log_deriv)
+from chebkit.sieve import prime_powers
 from chebkit.weights import WeightSpec, weight_value
 
 # -zeta'(2)/zeta(2), frozen from mpmath.zeta(2, derivative=1)/mpmath.zeta(2)
@@ -24,6 +24,22 @@ NEG_ZETA_LOGDERIV_AT_2 = 0.5699618236417963
 
 
 # ----------------------------------------------------------- the series
+
+def class_log_deriv_via_characters(q: int, residue: int, n_max: int) -> LogDerivSeries:
+    """Reference for class_log_deriv over Q(zeta_q): the residue-class
+    combination (1/phi(q)) sum_chi conj(chi(a)) chi(n), assembled from the
+    character table; equals the direct indicator."""
+    table = character_table(q)
+    values, primes, _ = prime_powers(n_max, strict=False)
+    combo = np.zeros(values.size, dtype=complex)
+    for row in table:
+        combo += np.conj(row[residue % q]) * row[values % q]
+    combo /= table.shape[0]
+    coeffs = np.log(primes) * combo
+    # true coefficients are at least log 2; anything tiny is cancellation dust
+    keep = np.abs(coeffs) > 1e-9
+    return LogDerivSeries(values=values[keep], coeffs=coeffs[keep], n_max=n_max)
+
 
 def test_character_series_values():
     # the nontrivial character mod 4 weights Lambda(n) by (-1)^((n-1)/2)

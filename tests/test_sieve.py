@@ -82,14 +82,10 @@ def test_no_prime_omitted_on_random_window():
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 3001, 2**14, 2**20])
-def test_segment_size_independence(segment_size):
+def test_segment_size_independence(monkeypatch, segment_size):
     baseline = segmented_primes(2, 200_000)
-    assert np.array_equal(segmented_primes(2, 200_000, segment_size), baseline)
-
-
-def test_segment_size_too_small_rejected():
-    with pytest.raises(DomainError):
-        segmented_primes(2, 100, segment_size=512)
+    monkeypatch.setattr(sieve, "_SEGMENT_SIZE", segment_size)
+    assert np.array_equal(segmented_primes(2, 200_000), baseline)
 
 
 def test_memory_budget_enforced():
@@ -274,5 +270,7 @@ def test_count_series_step_lookup():
 @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=3, max_value=5000))
 def test_segmented_matches_trial_division(a, b):
     lo, hi = min(a, b), max(a, b) + 1
-    got = segmented_primes(lo, hi, segment_size=2**10).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_SEGMENT_SIZE", 2**10)
+        got = segmented_primes(lo, hi).tolist()
     assert got == [n for n in range(lo, hi) if trial_division_is_prime(n)]

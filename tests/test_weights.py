@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def _find_piece(pieces, t):
         if a <= t <= b:
             return i
     return None
+
+
+def irwin_hall_cdf_exact(s: Fraction, ell: int) -> Fraction:
+    """Exact rational Irwin-Hall CDF, sum_k (-1)^k C(ell,k) (s-k)^ell / ell!
+    over k < s; no formula in common with the package's recurrence."""
+    if s <= 0:
+        return Fraction(0)
+    if s >= ell:
+        return Fraction(1)
+    total = sum((-1) ** k * math.comb(ell, k) * (s - k) ** ell
+                for k in range(ell + 1) if s > k)
+    return total / math.factorial(ell)
 
 
 def simpson_transform_oracle(f_vals_fn, spec, z, step=1e-4):
@@ -210,10 +223,30 @@ def test_weight_interior_frozen_value():
     assert weight_value(spec, t_mid) == pytest.approx(0.5, abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.0, max_value=1.0))
+def test_weight_cdf_matches_exact_rational_sum(ell, frac):
+    # the right ramp is 1 - CDF(u2) with u2 = (t - 1)/(2A); sweep u2 over
+    # [-0.5, ell + 0.5] and compare with the exact rational CDF
+    spec = WeightSpec(x=1000.0, ell=ell, eps=0.1)
+    a2 = 2.0 * spec.A
+    t = 1.0 + (-0.5 + frac * (ell + 1.0)) * a2
+    u2 = (t - 1.0) / a2
+    exact = 1 - irwin_hall_cdf_exact(Fraction(u2), ell)
+    assert abs(weight_value(spec, t) - float(exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("ell", [17, 20, 40])
+def test_weight_ramp_midpoint_symmetry_large_ell(ell):
+    # f is symmetric about the middle of each ramp, so f = 1/2 there
+    spec = WeightSpec(x=1000.0, ell=ell, eps=0.1)
+    t_mid = 1.0 + spec.eps / (2 * math.log(spec.x))
+    assert weight_value(spec, t_mid) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_weight_large_ell_grid_path():
-    # beyond the closed-form fold limit the grid evaluator takes over
     spec = WeightSpec(x=1000.0, ell=20, eps=0.1)
-    assert weight_value(spec, 0.75) == pytest.approx(1.0, abs=1e-6)
+    assert weight_value(spec, 0.75) == 1.0
     assert 0.0 <= weight_value(spec, 0.4999) <= 1.0
     lo, hi = spec.support
     assert abs(weight_value(spec, lo - 1e-6)) < 1e-12
