@@ -1,6 +1,7 @@
 """Frobenius-class prime counting for quadratic and cyclotomic extensions
-of the rationals, the psi/theta/pi chain linking them, and the smoothed
-prime sum evaluated directly over prime powers.
+of the rationals, each stored as its Frobenius map (a table from residues
+mod |disc| to class keys), the psi/theta/pi chain linking them, and the
+smoothed prime sum evaluated directly over prime powers.
 
 Conventions: the class indicator at a ramified prime is 0 (deterministic,
 and safe for every upper-bound comparison); the weighted counters use a
@@ -12,14 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .arith import factorize, is_squarefree, kronecker_table
 from .bounds import FieldInvariants, range_thresholds
 from .errors import DomainError
-from .progressions import euler_phi
 from .reports import BoundReport, PowerValue
 from .sieve import CountSeries, li, partial_sum_pi_from_theta, prime_powers, primes_upto
 from .weights import WeightSpec, weight_value
@@ -31,38 +30,19 @@ FULL = "full"
 
 @dataclass(frozen=True)
 class AbelianExtension:
-    """A quadratic field Q(sqrt(d)), a cyclotomic field Q(zeta_q), or the
-    trivial extension Q itself (the full-group degenerate case)."""
+    """An abelian extension of Q as its Frobenius map: keys[r] is the class
+    key of Frobenius(p)^m for every p^m = r (mod |disc|), None where p
+    ramifies.  The Kronecker symbol is completely multiplicative and
+    periodic mod |disc|, and a cyclotomic class is the residue itself, so
+    the table determines everything; ``kind`` is only a label."""
 
     kind: str                 # "quadratic" | "cyclotomic" | "trivial"
-    d: int = 0                # squarefree defining integer (quadratic)
-    q: int = 0                # cyclotomic conductor
-
-    def __post_init__(self):
-        if self.kind == "quadratic":
-            if self.d in (0, 1) or not is_squarefree(self.d):
-                raise DomainError("quadratic field needs squarefree d != 0, 1")
-        elif self.kind == "cyclotomic":
-            if self.q < 3:
-                raise DomainError("cyclotomic field needs q >= 3")
-        elif self.kind != "trivial":
-            raise DomainError(f"unknown extension kind {self.kind!r}")
-
-    @property
-    def disc(self) -> int:
-        if self.kind == "quadratic":
-            return self.d if self.d % 4 == 1 else 4 * self.d
-        if self.kind == "cyclotomic":
-            return self.q  # stand-in modulus; ramified set is p | q
-        return 1
+    disc: int                 # the cyclotomic conductor stands in for it
+    keys: tuple
 
     @property
     def group_order(self) -> int:
-        if self.kind == "quadratic":
-            return 2
-        if self.kind == "cyclotomic":
-            return euler_phi(self.q)
-        return 1
+        return len(set(self.keys) - {None})
 
     @property
     def ramified(self) -> frozenset:
@@ -70,15 +50,23 @@ class AbelianExtension:
 
 
 def quadratic_field(d: int) -> AbelianExtension:
-    return AbelianExtension(kind="quadratic", d=d)
+    if d in (0, 1) or not is_squarefree(d):
+        raise DomainError("quadratic field needs squarefree d != 0, 1")
+    disc = d if d % 4 == 1 else 4 * d
+    names = {1: SPLIT, -1: INERT}
+    return AbelianExtension("quadratic", disc,
+                            tuple(names.get(s) for s in kronecker_table(disc, abs(disc))))
 
 
 def cyclotomic_field(q: int) -> AbelianExtension:
-    return AbelianExtension(kind="cyclotomic", q=q)
+    if q < 3:
+        raise DomainError("cyclotomic field needs q >= 3")
+    return AbelianExtension("cyclotomic", q,
+                            tuple(r if math.gcd(r, q) == 1 else None for r in range(q)))
 
 
 def trivial_extension() -> AbelianExtension:
-    return AbelianExtension(kind="trivial")
+    return AbelianExtension("trivial", 1, (FULL,))
 
 
 @dataclass(frozen=True)
@@ -94,11 +82,8 @@ class ConjClass:
 
 
 def conj_classes(ext: AbelianExtension) -> list[ConjClass]:
-    if ext.kind == "quadratic":
-        return [ConjClass(SPLIT), ConjClass(INERT)]
-    if ext.kind == "cyclotomic":
-        return [ConjClass(a) for a in range(1, ext.q) if math.gcd(a, ext.q) == 1]
-    return [ConjClass(FULL)]
+    """The distinct class keys in residue order."""
+    return [ConjClass(k) for k in dict.fromkeys(ext.keys) if k is not None]
 
 
 def class_share(ext: AbelianExtension, cls: ConjClass) -> float:
@@ -106,24 +91,10 @@ def class_share(ext: AbelianExtension, cls: ConjClass) -> float:
     return 1.0 / ext.group_order
 
 
-def artin_class(ext: AbelianExtension, p: int) -> Optional[ConjClass]:
-    """Frobenius class of an unramified prime; None marks ramification.
-
-    The class depends only on p mod |disc|, and Frobenius(p)^m is the
-    class of p^m: the Kronecker symbol is completely multiplicative and
-    periodic mod |disc|, and a cyclotomic class is the residue itself.
-    """
-    if ext.kind == "trivial":
-        return ConjClass(FULL)
-    if ext.kind == "quadratic":
-        disc = ext.disc
-        sym = kronecker_table(disc, abs(disc))[p % abs(disc)]
-        if sym == 0:
-            return None
-        return ConjClass(SPLIT) if sym == 1 else ConjClass(INERT)
-    if math.gcd(p, ext.q) != 1:
-        return None
-    return ConjClass(p % ext.q)
+def artin_class(ext: AbelianExtension, p: int) -> ConjClass | None:
+    """Frobenius class of p (of p^m: Frobenius(p)^m); None if p ramifies."""
+    key = ext.keys[p % abs(ext.disc)]
+    return None if key is None else ConjClass(key)
 
 
 def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
@@ -181,20 +152,20 @@ def _class_series(ext: AbelianExtension, cls: ConjClass, x: float, values: np.nd
     return CountSeries(np.append(kept, x), np.cumsum(np.append(logp, 0.0)))
 
 
-def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float, x: float,
-                         constant: float = 1.0) -> BoundReport:
+def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float,
+                         x: float) -> BoundReport:
     """Partial-summation chain
 
-        pi_C(x) <= psi_C(x)/log x + int_{x0}^x psi_C(t)/(t log^2 t) dt + constant*x0
+        pi_C(x) <= psi_C(x)/log x + int_{x0}^x psi_C(t)/(t log^2 t) dt + x0
 
     with the integral evaluated exactly piecewise (psi is a step function),
-    so the only slack is the constant * n_F * x0 term (n_F = 1 here).
+    so the only slack is the n_F * x0 term (n_F = 1 here).
     """
     if not (x > x0 > 3):
         raise DomainError("need x > x0 > 3")
     psi = _class_series(ext, cls, x, *prime_powers(x, strict=True)[:2])
     lhs = float(pi_class(ext, cls, x))
-    rhs = partial_sum_pi_from_theta(psi, x0, x) + constant * 1.0 * x0
+    rhs = partial_sum_pi_from_theta(psi, x0, x) + x0
     return BoundReport.compare(lhs, rhs, label="pi <= smoothed psi chain")
 
 

@@ -174,7 +174,8 @@ def _cmd_bt_check(args) -> list[dict]:
         my = ap.maynard_check(query, slack=args.slack)
         rows.append({"q": args.q, "a": a, "x": args.x, "count": mv.lhs,
                      "mv_bound": mv.rhs, "mv_passed": mv.passed,
-                     "piecewise_bound": my.rhs, "piecewise_passed": my.passed})
+                     "piecewise_bound": my.rhs, "piecewise_passed": my.passed,
+                     "heuristic": my.heuristic})
     return rows
 
 
@@ -200,16 +201,10 @@ def _cmd_bqf(args) -> list[dict]:
 
 def _make_extension(args) -> tuple[cheb.AbelianExtension, cheb.ConjClass]:
     if args.d is not None:
-        ext = cheb.quadratic_field(args.d)
-        if args.cls not in ("split", "inert"):
-            raise DomainError("quadratic class must be 'split' or 'inert'")
-        cls = cheb.ConjClass(args.cls)
-    elif args.cyclotomic is not None:
-        ext = cheb.cyclotomic_field(args.cyclotomic)
-        cls = cheb.ConjClass(int(args.cls))
-    else:
-        raise DomainError("need --d or --cyclotomic")
-    return ext, cls
+        return cheb.quadratic_field(args.d), cheb.ConjClass(args.cls)
+    if args.cyclotomic is not None:
+        return cheb.cyclotomic_field(args.cyclotomic), cheb.ConjClass(int(args.cls))
+    raise DomainError("need --d or --cyclotomic")
 
 
 def _cmd_chebotarev(args) -> list[dict]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebotarev import AbelianExtension, ConjClass, _class_terms
+from .chebotarev import FULL, AbelianExtension, ConjClass, _class_terms, trivial_extension
 from .characters import character_table
 from .errors import DomainError
 from .sieve import prime_powers
@@ -104,9 +104,9 @@ def _evaluate_grid(series: LogDerivSeries, t0: float, h: float, count: int) -> n
 
 
 def zeta_log_deriv(n_max: int) -> LogDerivSeries:
-    """Coefficients Lambda(n): the full prime-power series."""
-    values, primes, _ = prime_powers(n_max, strict=False)
-    return LogDerivSeries(values=values, coeffs=np.log(primes).astype(complex), n_max=n_max)
+    """Coefficients Lambda(n): the class series of the trivial extension,
+    which keeps every prime power."""
+    return class_log_deriv(trivial_extension(), ConjClass(FULL), n_max)
 
 
 def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:

@@ -330,7 +330,7 @@ def test_c8_counting_chain():
         cases.extend((ext, cls) for cls in conj_classes(ext))
     margins = []
     for ext, cls in cases:
-        r = counting_chain_check(ext, cls, 10.0, 10**5, constant=1.0)
+        r = counting_chain_check(ext, cls, 10.0, 10**5)
         margins.append(r.margin)
         assert r.passed, (ext.kind, cls.key)
     elapsed = time.monotonic() - t0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebkit.arith import kronecker
 from chebkit.chebotarev import (FULL, INERT, SPLIT, AbelianExtension, ConjClass,
@@ -11,7 +13,7 @@ from chebkit.chebotarev import (FULL, INERT, SPLIT, AbelianExtension, ConjClass,
                                 quadratic_field, theta_class, trivial_extension,
                                 weighted_prime_sum)
 from chebkit.errors import DomainError
-from chebkit.progressions import APQuery, pi_ap
+from chebkit.progressions import APQuery, euler_phi, pi_ap
 from chebkit.sieve import primes_upto
 from chebkit.weights import WeightSpec
 
@@ -34,7 +36,8 @@ def enumerate_psi(ext, cls, x):
                     if (cls.key == SPLIT) == in_split:
                         total += math.log(p)
             elif ext.kind == "cyclotomic":
-                if math.gcd(p, ext.q) == 1 and pow(p, m, ext.q) == cls.key % ext.q:
+                q = ext.disc
+                if math.gcd(p, q) == 1 and pow(p, m, q) == cls.key % q:
                     total += math.log(p)
             else:
                 total += math.log(p)
@@ -67,6 +70,38 @@ def test_class_share():
     assert class_share(cyclotomic_field(5), ConjClass(2)) == 0.25
     assert class_share(trivial_extension(), ConjClass(FULL)) == 1.0
     assert len(conj_classes(cyclotomic_field(12))) == 4
+
+
+def _squarefree(n):
+    return all(n % (k * k) for k in range(2, math.isqrt(abs(n)) + 1))
+
+
+def _prime_divisors(n):
+    return {p for p in range(2, abs(n) + 1)
+            if n % p == 0 and all(p % k for k in range(2, math.isqrt(p) + 1))}
+
+
+_SMALL_PRIMES = [int(p) for p in primes_upto(10**4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(-300, 300).filter(lambda d: d not in (0, 1) and _squarefree(d)),
+       q=st.integers(3, 300), p=st.sampled_from(_SMALL_PRIMES), m=st.integers(1, 3))
+def test_frobenius_map_matches_its_definitions(d, q, p, m):
+    quad = quadratic_field(d)
+    sym = kronecker(quad.disc, p) ** m
+    assert artin_class(quad, p**m) == {0: None, 1: ConjClass(SPLIT),
+                                       -1: ConjClass(INERT)}[sym]
+    assert quad.group_order == 2
+    assert len(conj_classes(quad)) == quad.group_order
+    assert quad.ramified == _prime_divisors(quad.disc)
+
+    cyc = cyclotomic_field(q)
+    expect = ConjClass(pow(p, m, q)) if math.gcd(p, q) == 1 else None
+    assert artin_class(cyc, p**m) == expect
+    assert cyc.group_order == euler_phi(q)
+    assert len(conj_classes(cyc)) == cyc.group_order
+    assert cyc.ramified == _prime_divisors(q)
 
 
 def test_artin_class_examples():

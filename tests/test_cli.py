@@ -44,6 +44,12 @@ def test_domain_error_exits_2():
     assert "gcd" in text
 
 
+def test_unknown_quadratic_class_exits_2():
+    code, text = run(["chebotarev", "--d", "-1", "--class", "foo", "--x", "100"])
+    assert code == 2
+    assert "foo" in text
+
+
 def test_byte_identical_repeat_runs():
     argv = ["mellin-check", "--q", "4", "--residue", "1", "--x", "50",
             "--ell", "2", "--t-max", "50"]

@@ -50,3 +50,10 @@ GOLDENS = [(name, fmt) for name in sorted(CASES) for fmt in ("json", "csv")]
 def test_report_matches_golden(name, fmt):
     expected = (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
     assert report_bytes(CASES[name], fmt) == expected
+
+
+def test_every_golden_file_has_a_case():
+    # a renamed or dropped case must not leave its old golden behind
+    expected = {f"{name}.{fmt}" for name, fmt in GOLDENS}
+    assert sorted(path.name for path in GOLDEN_DIR.iterdir()
+                  if path.name not in expected) == []
