@@ -127,7 +127,7 @@ def represented_values(form: ReducedForm, x: int) -> np.ndarray:
     a, b, c, D = form.a, form.b, form.c, form.D
     rep = np.zeros(x + 1, dtype=bool)
     n_max = math.isqrt(4 * a * x // D) if x else 0
-    for n in range(-n_max, n_max + 1):
+    for n in range(n_max + 1):          # Q(m, n) = Q(-m, -n): rows n < 0 repeat
         disc_m = 4 * a * x - D * n * n
         if disc_m < 0:
             continue
@@ -138,7 +138,7 @@ def represented_values(form: ReducedForm, x: int) -> np.ndarray:
             continue
         m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
         v = a * m * m + b * m * n + c * n * n
-        v = v[(v >= 0) & (v <= x)]
+        v = v[v <= x]                   # Q is positive definite: v >= 0
         rep[v] = True
     return rep
 
@@ -173,11 +173,6 @@ class FormDensityReport:
     below_upper_bound: bool
     asymptotic_threshold: PowerValue   # x >> D^695 validity range of the bound
     in_proven_range: bool
-
-    @property
-    def within(self) -> float:
-        """Relative deviation of the count from the asymptotic target."""
-        return abs(self.ratio - 1.0)
 
 
 def representation_density_report(form: ReducedForm, x: int) -> FormDensityReport:

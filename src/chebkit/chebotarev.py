@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import factorize, is_squarefree, kronecker_table
 from .bounds import FieldInvariants, range_thresholds
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .reports import BoundReport, PowerValue
 from .sieve import CountSeries, li, partial_sum_pi_from_theta, prime_powers, primes_upto
 from .weights import WeightSpec, weight_value
@@ -26,6 +26,7 @@ from .weights import WeightSpec, weight_value
 SPLIT = "split"
 INERT = "inert"
 FULL = "full"
+_MAX_MODULUS = 2 ** 20        # |disc| entries in the Frobenius map and in each counter's table
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ def quadratic_field(d: int) -> AbelianExtension:
     if d in (0, 1) or not is_squarefree(d):
         raise DomainError("quadratic field needs squarefree d != 0, 1")
     disc = d if d % 4 == 1 else 4 * d
+    if abs(disc) > _MAX_MODULUS:
+        raise CapacityError(f"|disc| = {abs(disc)} exceeds the Frobenius map limit {_MAX_MODULUS}")
     names = {1: SPLIT, -1: INERT}
     return AbelianExtension("quadratic", disc,
                             tuple(names.get(s) for s in kronecker_table(disc, abs(disc))))
@@ -61,6 +64,8 @@ def quadratic_field(d: int) -> AbelianExtension:
 def cyclotomic_field(q: int) -> AbelianExtension:
     if q < 3:
         raise DomainError("cyclotomic field needs q >= 3")
+    if q > _MAX_MODULUS:
+        raise CapacityError(f"conductor {q} exceeds the Frobenius map limit {_MAX_MODULUS}")
     return AbelianExtension("cyclotomic", q,
                             tuple(r if math.gcd(r, q) == 1 else None for r in range(q)))
 

@@ -92,9 +92,9 @@ def _read_config(path: str) -> dict:
 def _cmd_weights_verify(args) -> list[dict]:
     spec = WeightSpec(x=args.x, ell=args.ell, eps=args.eps)
     rng = np.random.default_rng(args.seed)
+    at_zero = laplace_transform(spec, 0).real
     rows = [{"check": "value-at-zero", "s_re": 0.0, "s_im": 0.0, "alpha": 0.0,
-             "lhs": laplace_transform(spec, 0).real, "rhs": 0.75,
-             "passed": 0.5 < laplace_transform(spec, 0).real < 0.75}]
+             "lhs": at_zero, "rhs": 0.75, "passed": 0.5 < at_zero < 0.75}]
     lo, hi = spec.support
     for t in (lo - 0.01, lo, 0.5, 0.75, 1.0, hi, hi + 0.01):
         f = weight_value(spec, t)

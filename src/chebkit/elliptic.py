@@ -224,38 +224,23 @@ def _bsgs_block(p, A, B, M):
     """(a_p, solved) for one block of lanes.  Round r draws x, sets
     f = x^3 + Ax + B and searches the order of (f x, f^2) on
     y^2 = x^3 + A f^2 x + B f^3: E if f is a square, else its quadratic
-    twist, so a hit m gives a_p = chi(f)(p + 1 - m).  A complete round's
-    hits are the multiples of the point's order d in the Hasse interval:
-    a_p = rho (mod d), with d the interval's width for one hit."""
+    twist E'.  #E' lies in the Hasse interval and is a multiple of the
+    point's order, so when a complete search finds exactly one multiple m
+    there, m = #E' and a_p = chi(f)(p + 1 - m).  Other lanes draw again."""
     half = np.sqrt(4 * p).astype(np.int64)          # isqrt: exact below 2^52
-    width = 2 * half + 1
-    rho = np.zeros((_BSGS_RESAMPLE_LIMIT, p.size), np.int64)
-    mod = np.ones_like(rho)
     ap, solved, live = np.zeros_like(p), np.zeros(p.size, bool), np.arange(p.size)
     for r in range(_BSGS_RESAMPLE_LIMIT):       # live lanes are not solved yet
-        q, h, w, a = p[live], half[live], width[live], A[live]
+        q, h, a = p[live], half[live], A[live]
         x = (r + 1) * _DRAW % q
         f = (x * x % q * x + a * x + B[live]) % q
         ff = f * f % q
-        lanes, ms, complete = _point_orders(q, a * ff % q, (f * x % q, ff), q + 1 - h, w, M)
-        hits = np.unique(lanes << 32 | ms)
-        lanes, ms = hits >> 32, np.append(hits & 0xFFFFFFFF, [0, 0])
-        at = np.searchsorted(lanes, np.arange(live.size))       # each lane's first hit
+        lanes, ms, complete = _point_orders(q, a * ff % q, (f * x % q, ff), q + 1 - h, 2 * h + 1, M)
+        m = np.zeros_like(q)
+        m[lanes] = ms           # read only where the lane has one hit
         count = np.bincount(lanes, minlength=live.size)
-        told = complete & (count > 0) & (f != 0)          # f = 0: a singular twist
+        one = complete & (count == 1) & (f != 0)        # f = 0: a singular twist
         chi = np.where(_powmod(f, (q - 1) // 2, q) == 1, 1, -1)
-        rho[r, live] = np.where(told, chi * (q + 1 - ms[at]), 0)
-        mod[r, live] = np.where(told, np.where(count > 1, ms[at + 1] - ms[at], w), 1)
-        # list the a_p in [-h, h] that the largest modulus allows; a lane is
-        # solved when the other rounds allow exactly one of them
-        dd, rr = mod[:r + 1, live], rho[:r + 1, live]
-        best, cols = dd.argmax(axis=0), np.arange(live.size)
-        d = dd[best, cols]
-        n = int((2 * h // d)[d > 1].max(initial=0)) + 1
-        cand = (rr[best, cols] + h) % d - h + d * np.arange(n)[:, None]
-        fits = (cand <= h) & ((cand[None] - rr[:, None]) % dd[:, None] == 0).all(axis=0)
-        one = (fits.sum(axis=0) == 1) & (d > 1)
-        ap[live[one]] = cand[fits.argmax(axis=0), cols][one]
+        ap[live[one]] = (chi * (q + 1 - m))[one]
         solved[live[one]] = True
         live = live[~one]
         if not live.size:
@@ -268,8 +253,8 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
 
     'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
     runs one lockstep baby-step giant-step search over blocks of primes and
-    falls back to the character sum where its rounds leave more than one
-    a_p; 'auto' takes character sums below ``_CHARSUM_CUTOFF``.  Primes
+    falls back to the character sum where no round's point settles #E;
+    'auto' takes character sums below ``_CHARSUM_CUTOFF``.  Primes
     >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64;
     so does a character sum at p > 2^28 (``_CHARSUM_LIMIT``)."""
     ps = np.asarray(primes)

@@ -52,6 +52,17 @@ def brute_force_class_count(D):
     return len(seen)
 
 
+def naive_represented_values(a, b, c, x):
+    """Box-enumeration oracle: index v <= x is True iff v = Q(m, n)."""
+    n_bound = math.isqrt(4 * a * x // (4 * a * c - b * b)) + 2
+    m_bound = math.isqrt(x // a) + abs(b) * n_bound // (2 * a) + 2
+    m, n = np.meshgrid(np.arange(-m_bound, m_bound + 1), np.arange(-n_bound, n_bound + 1))
+    v = (a * m * m + b * m * n + c * n * n).ravel()
+    rep = np.zeros(x + 1, dtype=bool)
+    rep[v[v <= x]] = True
+    return rep
+
+
 def naive_represented_primes(a, b, c, x):
     """Double-loop oracle for the primes represented by a form."""
     rep = set()
@@ -176,12 +187,18 @@ def test_represented_primes_x2_5y2():
 
 
 def test_represented_primes_against_naive_oracle():
+    x = 2000
     for (a, b, c) in [(2, 1, 3), (2, 2, 3), (1, 1, 6), (2, 0, 5)]:
         form = ReducedForm(a, b, c)
-        x = 2000
         rep = represented_values(form, x)
         got = [int(p) for p in primes_upto(x) if rep[p]]
         assert got == naive_represented_primes(a, b, c, x)
+    # the whole table, every value <= x, for every reduced form of every D <= 60
+    for D in range(3, 61):
+        if (-D) % 4 in (0, 1):
+            for f in class_number(D).forms:
+                assert np.array_equal(represented_values(f, x),
+                                      naive_represented_values(f.a, f.b, f.c, x)), f
 
 
 def test_value_not_representing_two():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebkit import chebotarev
 from chebkit.arith import kronecker
 from chebkit.chebotarev import (FULL, INERT, SPLIT, AbelianExtension, ConjClass,
                                 artin_class, class_share, conj_classes,
@@ -12,7 +13,7 @@ from chebkit.chebotarev import (FULL, INERT, SPLIT, AbelianExtension, ConjClass,
                                 density_ratio_report, pi_class, psi_class,
                                 quadratic_field, theta_class, trivial_extension,
                                 weighted_prime_sum)
-from chebkit.errors import DomainError
+from chebkit.errors import CapacityError, DomainError
 from chebkit.progressions import APQuery, euler_phi, pi_ap
 from chebkit.sieve import primes_upto
 from chebkit.weights import WeightSpec
@@ -63,6 +64,21 @@ def test_extension_invariants():
         quadratic_field(1)
     with pytest.raises(DomainError):
         cyclotomic_field(2)
+
+
+def test_frobenius_map_refuses_moduli_past_its_cap(monkeypatch):
+    # abs(disc) = 2^20 + 1 for both, just past the cap
+    with pytest.raises(CapacityError):
+        cyclotomic_field(2**20 + 1)
+    with pytest.raises(CapacityError):
+        quadratic_field(2**20 + 1)
+    monkeypatch.setattr(chebotarev, "_MAX_MODULUS", 40)
+    assert cyclotomic_field(40).group_order == 16
+    assert quadratic_field(10).disc == 40
+    with pytest.raises(CapacityError):
+        cyclotomic_field(41)
+    with pytest.raises(CapacityError):
+        quadratic_field(41)
 
 
 def test_class_share():

@@ -50,6 +50,11 @@ def test_unknown_quadratic_class_exits_2():
     assert "foo" in text
 
 
+def test_cyclotomic_conductor_past_the_cap_exits_2():
+    code, _ = run(["chebotarev", "--cyclotomic", "1048577", "--class", "1", "--x", "100"])
+    assert code == 2
+
+
 def test_byte_identical_repeat_runs():
     argv = ["mellin-check", "--q", "4", "--residue", "1", "--x", "50",
             "--ell", "2", "--t-max", "50"]
