@@ -1,7 +1,8 @@
 """Frobenius-class prime counting for quadratic and cyclotomic extensions
-of the rationals, each stored as its Frobenius map (a table from residues
-mod |disc| to class keys), the psi/theta/pi chain linking them, and the
-smoothed prime sum evaluated directly over prime powers.
+of the rationals, each stored as its Frobenius map (an int array from
+residues mod |disc| to class positions).  pi_C, theta_C and psi_C are
+reads of one census per (field, x) that counts every class in one pass;
+the psi/theta/pi chain and the smoothed prime sum select their own terms.
 
 Conventions: the class indicator at a ramified prime is 0 (deterministic,
 and safe for every upper-bound comparison); the weighted counters use a
@@ -20,30 +21,33 @@ from .arith import factorize, is_squarefree, kronecker_table
 from .bounds import FieldInvariants, range_thresholds
 from .errors import CapacityError, DomainError
 from .reports import BoundReport, PowerValue
-from .sieve import CountSeries, li, partial_sum_pi_from_theta, prime_powers, primes_upto
+from .sieve import (CountSeries, _higher_powers, li, partial_sum_pi_from_theta, prime_powers,
+                    primes_upto)
 from .weights import WeightSpec, weight_value
 
 SPLIT = "split"
 INERT = "inert"
 FULL = "full"
-_MAX_MODULUS = 2 ** 20        # |disc| entries in the Frobenius map and in each counter's table
+_MAX_MODULUS = 2 ** 20        # |disc| entries in the Frobenius map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbelianExtension:
-    """An abelian extension of Q as its Frobenius map: keys[r] is the class
-    key of Frobenius(p)^m for every p^m = r (mod |disc|), None where p
-    ramifies.  The Kronecker symbol is completely multiplicative and
-    periodic mod |disc|, and a cyclotomic class is the residue itself, so
-    the table determines everything; ``kind`` is only a label."""
+    """An abelian extension of Q as its Frobenius map: labels[index[r]] is
+    the class key of Frobenius(p)^m for every p^m = r (mod |disc|), and
+    index[r] = len(labels) where p ramifies.  The Kronecker symbol is
+    completely multiplicative and periodic mod |disc|, and a cyclotomic
+    class is the residue itself, so the map determines everything."""
 
-    kind: str                 # "quadratic" | "cyclotomic" | "trivial"
+    kind: str                 # "quadratic" | "cyclotomic" | "trivial"; only a label
     disc: int                 # the cyclotomic conductor stands in for it
-    keys: tuple
+    index: np.ndarray         # int32, one entry per residue mod |disc|
+    labels: tuple             # class keys, in residue order
+    sizes: np.ndarray         # |C| of each class
 
     @property
     def group_order(self) -> int:
-        return len(set(self.keys) - {None})
+        return int(self.sizes.sum())
 
     @property
     def ramified(self) -> frozenset:
@@ -51,14 +55,14 @@ class AbelianExtension:
 
 
 def quadratic_field(d: int) -> AbelianExtension:
+    disc = d if d % 4 == 1 else 4 * d
+    if abs(disc) > _MAX_MODULUS:    # before is_squarefree's trial division up to sqrt(d)
+        raise CapacityError(f"|disc| = {abs(disc)} exceeds the Frobenius map limit {_MAX_MODULUS}")
     if d in (0, 1) or not is_squarefree(d):
         raise DomainError("quadratic field needs squarefree d != 0, 1")
-    disc = d if d % 4 == 1 else 4 * d
-    if abs(disc) > _MAX_MODULUS:
-        raise CapacityError(f"|disc| = {abs(disc)} exceeds the Frobenius map limit {_MAX_MODULUS}")
-    names = {1: SPLIT, -1: INERT}
-    return AbelianExtension("quadratic", disc,
-                            tuple(names.get(s) for s in kronecker_table(disc, abs(disc))))
+    # symbol 1, -1, 0 -> split (0), inert (1), ramified (2)
+    index = np.array([2, 0, 1], np.int32)[np.array(kronecker_table(disc, abs(disc)))]
+    return AbelianExtension("quadratic", disc, index, (SPLIT, INERT), np.ones(2, int))
 
 
 def cyclotomic_field(q: int) -> AbelianExtension:
@@ -66,12 +70,16 @@ def cyclotomic_field(q: int) -> AbelianExtension:
         raise DomainError("cyclotomic field needs q >= 3")
     if q > _MAX_MODULUS:
         raise CapacityError(f"conductor {q} exceeds the Frobenius map limit {_MAX_MODULUS}")
-    return AbelianExtension("cyclotomic", q,
-                            tuple(r if math.gcd(r, q) == 1 else None for r in range(q)))
+    unit = np.ones(q, dtype=bool)
+    for p in factorize(q):
+        unit[::p] = False
+    labels = tuple(np.flatnonzero(unit).tolist())
+    index = np.where(unit, np.cumsum(unit) - 1, len(labels)).astype(np.int32)
+    return AbelianExtension("cyclotomic", q, index, labels, np.ones(len(labels), int))
 
 
 def trivial_extension() -> AbelianExtension:
-    return AbelianExtension("trivial", 1, (FULL,))
+    return AbelianExtension("trivial", 1, np.zeros(1, np.int32), (FULL,), np.ones(1, int))
 
 
 @dataclass(frozen=True)
@@ -87,66 +95,88 @@ class ConjClass:
 
 
 def conj_classes(ext: AbelianExtension) -> list[ConjClass]:
-    """The distinct class keys in residue order."""
-    return [ConjClass(k) for k in dict.fromkeys(ext.keys) if k is not None]
+    """The classes in residue order."""
+    return [ConjClass(k) for k in ext.labels]
+
+
+def _class_index(ext: AbelianExtension, cls: ConjClass) -> int:
+    """The position of ``cls`` in ext.labels; a residue key compares mod |disc|."""
+    key = cls.key if isinstance(cls.key, str) else cls.key % abs(ext.disc)
+    # a residue finds its class through the map; a name is searched for (len(labels): absent)
+    k = (ext.labels + (key,)).index(key) if isinstance(key, str) else int(ext.index[int(key)])
+    if k == len(ext.labels) or ext.labels[k] != key:
+        raise DomainError(f"no Frobenius class {cls.key!r} in the {ext.kind} extension")
+    return k
 
 
 def class_share(ext: AbelianExtension, cls: ConjClass) -> float:
-    """|C|/|G| for the singleton class."""
-    return 1.0 / ext.group_order
+    """|C|/|G|."""
+    return float(ext.sizes[_class_index(ext, cls)]) / ext.group_order
 
 
 def artin_class(ext: AbelianExtension, p: int) -> ConjClass | None:
     """Frobenius class of p (of p^m: Frobenius(p)^m); None if p ramifies."""
-    key = ext.keys[p % abs(ext.disc)]
-    return None if key is None else ConjClass(key)
+    k = int(ext.index[p % abs(ext.disc)])
+    return ConjClass(ext.labels[k]) if k < len(ext.labels) else None
 
 
 def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
                  primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The n = p^m in ``values`` (p the matching entry of ``primes``) with
-    Frobenius(p)^m in the class, and their log p.  Ramified p never match;
-    a residue key compares mod |disc|."""
-    mod = abs(ext.disc)
-    target = cls if isinstance(cls.key, str) else ConjClass(cls.key % mod)
-    table = np.array([artin_class(ext, r) == target for r in range(mod)])
-    if not table.any():
-        raise DomainError(f"no Frobenius class {cls.key!r} in the {ext.kind} extension")
-    hit = np.flatnonzero(table[values % mod])  # a take beats a boolean mask here
+    Frobenius(p)^m in the class, and their log p.  Ramified p never match."""
+    hit = np.flatnonzero(ext.index[values % abs(ext.disc)] == _class_index(ext, cls))
     return values[hit], np.log(primes[hit])
+
+
+# (extension, x, (pi_C, theta_C, psi_C) over the classes): the census of
+# the last pair asked, replaced whole; it holds no per-prime arrays
+_last_census = (None, None, None)
+
+
+def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pi_C(x), theta_C(x) and psi_C(x) for every class, in label order,
+    from one pass: each prime's class is one lookup in ext.index, and each
+    counter one bincount, whose last bin (the ramified primes) is dropped."""
+    global _last_census
+    at_ext, at_x, counts = _last_census
+    if at_ext is ext and at_x == x:
+        return counts
+    mod, n = abs(ext.disc), len(ext.labels) + 1
+    ps = primes_upto(x)
+    k = ext.index[ps % mod]
+    below = int(np.searchsorted(ps, x))
+    pi = np.bincount(k, minlength=n)[:-1]
+    theta = np.bincount(k[:below], weights=np.log(ps[:below]), minlength=n)[:-1]
+    values, primes, _ = _higher_powers(math.ceil(x) - 1)
+    psi = theta + np.bincount(ext.index[values % mod], weights=np.log(primes), minlength=n)[:-1]
+    _last_census = (ext, x, (pi, theta, psi))
+    return _last_census[2]
 
 
 def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     """Weighted count sum_{p^m < x} log(p) * [Frob(p)^m in C] (strict <)."""
     if x <= 1:
         raise DomainError("psi requires x > 1")
-    return float(np.sum(_class_terms(ext, cls, *prime_powers(x, strict=True)[:2])[1]))
-
-
-def _primes_below(x: float) -> np.ndarray:
-    ps = primes_upto(x)
-    return ps[: int(np.searchsorted(ps, x))]
+    return float(_census(ext, x)[2][_class_index(ext, cls)])
 
 
 def theta_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     """First-power restriction sum_{p < x} log(p) * [Frob(p) in C]."""
     if x <= 1:
         raise DomainError("theta requires x > 1")
-    ps = _primes_below(x)
-    return float(np.sum(_class_terms(ext, cls, ps, ps)[1]))
+    return float(_census(ext, x)[1][_class_index(ext, cls)])
 
 
 def theta_series(ext: AbelianExtension, cls: ConjClass, x: float) -> CountSeries:
     """theta_C as a step table: a checkpoint at each class prime p < x
     holding theta_C just past p, and a last checkpoint at x."""
-    ps = _primes_below(x)
+    ps = primes_upto(math.ceil(x) - 1)
     return _class_series(ext, cls, x, ps, ps)
 
 
 def pi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> int:
     """#{p <= x : p unramified, Frob(p) in C} (inclusive cutoff)."""
-    ps = primes_upto(x)
-    return int(_class_terms(ext, cls, ps, ps)[0].size)
+    return int(_census(ext, x)[0][_class_index(ext, cls)])
 
 
 def _class_series(ext: AbelianExtension, cls: ConjClass, x: float, values: np.ndarray,

@@ -203,7 +203,9 @@ def _make_extension(args) -> tuple[cheb.AbelianExtension, cheb.ConjClass]:
     if args.d is not None:
         return cheb.quadratic_field(args.d), cheb.ConjClass(args.cls)
     if args.cyclotomic is not None:
-        return cheb.cyclotomic_field(args.cyclotomic), cheb.ConjClass(int(args.cls))
+        ext, a = cheb.cyclotomic_field(args.cyclotomic), int(args.cls)
+        # the class of the primes = a (mod q); the counters refuse a non-unit a
+        return ext, cheb.artin_class(ext, a) or cheb.ConjClass(a)
     raise DomainError("need --d or --cyclotomic")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import factorize
 from .bounds import brun_titchmarsh_constant
 from .errors import DomainError
 from .reports import BoundReport
@@ -38,15 +39,9 @@ class APQuery:
 def euler_phi(q: int) -> int:
     if q < 1:
         raise DomainError("phi requires q >= 1")
-    result, n, p = q, q, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    result = q
+    for p in factorize(q):
+        result -= result // p
     return result
 
 

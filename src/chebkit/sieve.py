@@ -120,22 +120,12 @@ def primes_upto(n: int | float) -> np.ndarray:
     return primes[: int(np.searchsorted(primes, n, side="right"))]
 
 
-def prime_powers(limit: float, *, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prime powers p^m < limit (``strict``) or <= limit, sorted by value.
-
-    Returns (values, primes, exponents): the support of the von Mangoldt
-    function up to ``limit``.  The powers with m >= 2 are raised by exact
-    int64 products of the primes up to sqrt(limit) and merged into the
-    prime table; prime powers are distinct, so the merged order is total.
-    """
-    top = int(math.floor(limit))
-    ps = primes_upto(top)
-    if strict and top == limit:
-        top -= 1
-        ps = ps[: int(np.searchsorted(ps, top, side="right"))]
-    base = ps[: int(np.searchsorted(ps, math.isqrt(max(top, 0)), side="right"))]
+def _higher_powers(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime powers p^m <= top with m >= 2, sorted by value, as (values,
+    primes, exponents): exact int64 products of the primes up to sqrt(top)."""
+    base = primes_upto(math.isqrt(max(top, 0)))
     power, m = base, 1
-    vals, prs, exps = [ps[:0]], [ps[:0]], [ps[:0]]
+    vals, prs, exps = [base[:0]], [base[:0]], [base[:0]]
     while base.size:
         power, m = power * base, m + 1
         power = power[: int(np.searchsorted(power, top, side="right"))]
@@ -144,7 +134,19 @@ def prime_powers(limit: float, *, strict: bool = True) -> tuple[np.ndarray, np.n
         prs.append(base)
         exps.append(np.full(base.size, m, dtype=np.int64))
     order = np.argsort(np.concatenate(vals))
-    vals, prs, exps = (np.concatenate(c)[order] for c in (vals, prs, exps))
+    return tuple(np.concatenate(c)[order] for c in (vals, prs, exps))
+
+
+def prime_powers(limit: float, *, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime powers p^m < limit (``strict``) or <= limit, sorted by value.
+
+    Returns (values, primes, exponents): the support of the von Mangoldt
+    function up to ``limit``.  The ``_higher_powers`` are merged into the
+    prime table; prime powers are distinct, so the merged order is total.
+    """
+    top = math.ceil(limit) - 1 if strict else math.floor(limit)
+    ps = primes_upto(top)
+    vals, prs, exps = _higher_powers(top)
     at = np.searchsorted(ps, vals)
     return (np.insert(ps, at, vals), np.insert(ps, at, prs),
             np.insert(np.ones(ps.size, dtype=np.int64), at, exps))
@@ -187,9 +189,10 @@ def partial_sum_pi_from_theta(theta_series: CountSeries, x0: float, x: float) ->
     cps = theta_series.checkpoints
     if cps.size == 0 or cps[-1] < x:
         raise DomainError("theta series does not reach x")
-    ts = np.concatenate(([x0], cps[(cps > x0) & (cps < x)], [x]))
-    levels = np.concatenate(([0.0], theta_series.counts))[
-        np.searchsorted(cps, ts[:-1], side="right")]
+    # cps[i0:] lie past x0, so the levels on ts are counts[i0 - 1:], 0 before cps[0]
+    i0 = int(np.searchsorted(cps, x0, side="right"))
+    ts = np.concatenate(([x0], cps[i0: int(np.searchsorted(cps, x))], [x]))
+    levels = np.concatenate(([0.0], theta_series.counts))[i0: i0 + ts.size - 1]
     inv_log = 1.0 / np.log(ts)
     integral = float(np.sum(levels * (inv_log[:-1] - inv_log[1:])))
     return theta_series.at(x) / math.log(x) + integral

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +84,15 @@ def test_frobenius_map_refuses_moduli_past_its_cap(monkeypatch):
         cyclotomic_field(41)
     with pytest.raises(CapacityError):
         quadratic_field(41)
+
+
+def test_quadratic_field_checks_its_cap_before_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factored {n} before the cap check")
+    monkeypatch.setattr(chebotarev, "factorize", refuse)
+    monkeypatch.setattr(chebotarev, "is_squarefree", refuse)
+    with pytest.raises(CapacityError):
+        quadratic_field(10**18 + 3)
 
 
 def test_class_share():
@@ -298,3 +312,87 @@ def test_cyclotomic_class_keys_compare_mod_q():
     c5 = cyclotomic_field(5)
     assert psi_class(c5, ConjClass(12), 1000) == psi_class(c5, ConjClass(2), 1000)
     assert pi_class(c5, ConjClass(-1), 1000) == pi_class(c5, ConjClass(4), 1000)
+
+
+# -------------------------------------------------------------- census
+
+def frobenius_power_key(ext, p, m):
+    """Class key of Frobenius(p)^m by the Kronecker symbol or pow(p, m, q);
+    None where p ramifies."""
+    if ext.kind == "quadratic":
+        sym = kronecker(ext.disc, p)
+        return None if sym == 0 else (SPLIT if sym ** m == 1 else INERT)
+    q = ext.disc
+    return pow(p, m, q) if math.gcd(p, q) == 1 else None
+
+
+_PRIME_POWERS = [p**m for p in _SMALL_PRIMES[:70] for m in range(2, 17) if p**m <= 10**5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(-300, 300).filter(lambda d: d not in (0, 1) and _squarefree(d)),
+       q=st.integers(3, 300),
+       x=st.one_of(st.integers(2, 10**5), st.floats(2.0, 1e5),
+                   st.sampled_from(_SMALL_PRIMES), st.sampled_from(_PRIME_POWERS)))
+def test_census_matches_per_prime_reference(d, q, x):
+    for ext in (quadratic_field(d), cyclotomic_field(q)):
+        pi = {k: 0 for k in ext.labels}
+        theta = {k: 0.0 for k in ext.labels}
+        psi = {k: 0.0 for k in ext.labels}
+        for p in primes_upto(x).tolist():
+            key = frobenius_power_key(ext, p, 1)
+            if key is None:
+                continue
+            pi[key] += 1
+            if p < x:
+                theta[key] += math.log(p)
+            pm, m = p, 1
+            while pm < x:
+                psi[frobenius_power_key(ext, p, m)] += math.log(p)
+                pm, m = pm * p, m + 1
+        for cls in conj_classes(ext):
+            assert pi_class(ext, cls, x) == pi[cls.key]
+            assert theta_class(ext, cls, x) == pytest.approx(theta[cls.key], rel=1e-12)
+            assert psi_class(ext, cls, x) == pytest.approx(psi[cls.key], rel=1e-12)
+        assert (sum(pi_class(ext, cls, x) for cls in conj_classes(ext))
+                + sum(1 for p in ext.ramified if p <= x)) == primes_upto(x).size
+
+
+_FRESH_CENSUS = """
+import json, sys
+from chebkit.chebotarev import conj_classes, cyclotomic_field, pi_class, psi_class, theta_class
+ext, x = cyclotomic_field(12), float(sys.argv[1])
+print(json.dumps([[f(ext, c, x) for f in (pi_class, theta_class, psi_class)]
+                  for c in conj_classes(ext)]))
+"""
+
+
+def test_census_is_built_once_per_field_and_x(monkeypatch):
+    builds, results = [], []
+    primes_upto_, census_ = chebotarev.primes_upto, chebotarev._census
+    monkeypatch.setattr(chebotarev, "_last_census", (None, None, None))
+    monkeypatch.setattr(chebotarev, "primes_upto",
+                        lambda x: builds.append(x) or primes_upto_(x))
+    monkeypatch.setattr(chebotarev, "_census",
+                        lambda ext, x: results.append(census_(ext, x)) or results[-1])
+
+    def read_all(ext, x):
+        return [[f(ext, c, x) for f in (pi_class, theta_class, psi_class)]
+                for c in conj_classes(ext)]
+
+    c12 = cyclotomic_field(12)
+    read_all(c12, 5000.0)
+    assert len(builds) == 1 and len(results) == 12
+    assert all(r is results[0] for r in results)
+    got = read_all(c12, 7919.0)          # a new x rebuilds
+    assert len(builds) == 2
+    read_all(quadratic_field(-1), 5000.0)
+    read_all(quadratic_field(-1), 5000.0)  # an equal map, but a new object
+    assert len(builds) == 4
+
+    src = str(Path(chebotarev.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CENSUS, "7919.0"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert got == json.loads(proc.stdout)

@@ -235,6 +235,34 @@ def test_partial_sum_is_exact_on_prime_checkpoints():
     assert partial_sum_pi_from_theta(series, 4.0, 20.0) == pytest.approx(3.0, abs=1e-12)
 
 
+def searchsorted_partial_sum(theta_series, x0, x):
+    """Reference: the levels found by one searchsorted per interval start."""
+    cps = theta_series.checkpoints
+    ts = np.concatenate(([x0], cps[(cps > x0) & (cps < x)], [x]))
+    levels = np.concatenate(([0.0], theta_series.counts))[
+        np.searchsorted(cps, ts[:-1], side="right")]
+    inv_log = 1.0 / np.log(ts)
+    integral = float(np.sum(levels * (inv_log[:-1] - inv_log[1:])))
+    return theta_series.at(x) / math.log(x) + integral
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       cps=st.lists(st.integers(5, 400), min_size=2, max_size=60, unique=True).map(sorted),
+       offset=st.sampled_from([0.0, 0.5]))
+def test_partial_sum_levels_by_index_match_searchsorted(data, cps, offset):
+    cps = np.array(cps, dtype=float) + offset
+    steps = data.draw(st.lists(st.floats(0.0, 50.0), min_size=cps.size, max_size=cps.size))
+    series = CountSeries(cps, np.cumsum(steps), "random steps")
+    x0 = data.draw(st.one_of(
+        st.sampled_from(cps[:-1].tolist()),                       # on a checkpoint
+        st.floats(3.0, cps[0], exclude_min=True),                 # below the first
+        st.floats(3.0, cps[-1], exclude_min=True, exclude_max=True)))
+    x = data.draw(st.one_of(st.sampled_from(cps[cps > x0].tolist()),
+                            st.floats(x0, cps[-1], exclude_min=True)))
+    assert partial_sum_pi_from_theta(series, x0, x) == searchsorted_partial_sum(series, x0, x)
+
+
 def test_partial_sum_domain_errors():
     grid = np.linspace(4, 30, 10)
     series = CountSeries(grid, np.zeros(10), "zero")
