@@ -17,8 +17,8 @@ Subpackage map:
 - ``cli``          command-line frontend over all of the above
 """
 
-from .bounds import (FieldInvariants, ZeroPoint, brun_titchmarsh_constant,
-                     density_bound, deuring_heilbronn_exclusion, log_complexity,
+from .bounds import (FieldInvariants, brun_titchmarsh_constant, density_bound,
+                     deuring_heilbronn_exclusion, log_complexity,
                      low_lying_density_bound, range_thresholds, repulsion_threshold)
 from .bqf import (ClassGroupSummary, ReducedForm, class_number,
                   count_represented_primes, delta_q, reduce_form,

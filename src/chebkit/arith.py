@@ -3,11 +3,7 @@ squarefree kernels.  Scalar, exact, desk-scale."""
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 from .errors import DomainError
-from .sieve import primes_upto
 
 
 def kronecker(a: int, n: int) -> int:
@@ -79,10 +75,3 @@ def squarefree_kernel(n: int) -> int:
 def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorize(n).values())
 
-
-@lru_cache(maxsize=256)
-def kronecker_table(a: int, modulus: int) -> tuple[int, ...]:
-    """(a|n) for n = 0..modulus-1; valid as a lookup iff (a|.) is periodic
-    with period ``modulus`` (true for discriminants a = 0, 1 mod 4 with
-    modulus = |a|)."""
-    return tuple(kronecker(a, n) for n in range(modulus))

@@ -45,42 +45,6 @@ class FieldInvariants:
 
 
 @dataclass(frozen=True)
-class ZeroPoint:
-    """A hypothetical nontrivial zero in scaled coordinates.
-
-    The zero sits at (1 - lam/L) + i*mu/L once a complexity value L is
-    supplied; lam measures distance from s = 1 and mu the height, both in
-    L-units.
-    """
-
-    lam: float
-    mu: float
-    is_real_zero: bool = False
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("lam must be positive")
-        if self.multiplicity < 1:
-            raise DomainError("multiplicity must be >= 1")
-        if self.is_real_zero and self.mu != 0:
-            raise DomainError("a real zero must have mu = 0")
-
-    def beta(self, L: float) -> float:
-        b = 1.0 - self.lam / L
-        if not (0.0 < b < 1.0):
-            raise DomainError(f"beta = {b} falls outside the critical strip")
-        return b
-
-    def gamma(self, L: float) -> float:
-        return self.mu / L
-
-    def in_window(self, L: float, eta: float) -> bool:
-        """Whether the zero lies in the low-lying box |gamma| <= eta^-2."""
-        return abs(self.gamma(L)) <= eta ** -2
-
-
-@dataclass(frozen=True)
 class ComplexityResult:
     """Value of the logarithmic complexity with the branch that produced it."""
 
@@ -204,22 +168,6 @@ def brun_titchmarsh_constant(theta: float) -> float:
     if theta < 2.0 / 3.0:
         return 8.0 / (6.0 - 7.0 * theta)
     return (2.0 - ((1.0 - theta) / 4.0) ** 6) / (1.0 - theta)
-
-
-def bt_constant_branch_gaps() -> dict[float, tuple[float, float, float]]:
-    """Closed-branch value, open-side limit, and jump at each branch point.
-
-    The piecewise constant is genuinely discontinuous at 1/8 and 9/20 and
-    differs by ~1e-6 at 2/3; the closed branch governs the value there.
-    """
-    out = {}
-    for bp, closed, open_side in [
-        (0.125, 2.0, 16.0 / (8.0 - 3.0 * 0.125)),
-        (0.45, 16.0 / (8.0 - 3.0 * 0.45), 8.0 / (6.0 - 7.0 * 0.45)),
-        (2.0 / 3.0, (2.0 - (1.0 / 12.0) ** 6) * 3.0, 8.0 / (6.0 - 14.0 / 3.0)),
-    ]:
-        out[bp] = (closed, open_side, abs(open_side - closed))
-    return out
 
 
 @dataclass(frozen=True)

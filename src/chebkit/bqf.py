@@ -6,7 +6,7 @@ against Li(x)/h(-D).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,7 @@ def reduce_form(a: int, b: int, c: int) -> ReducedForm:
     """Unique reduced representative of the proper equivalence class."""
     if b * b - 4 * a * c >= 0 or a <= 0:
         raise DomainError("form must be positive definite")
-    if math.gcd(math.gcd(a, b), c) != 1:
-        raise DomainError("form must be primitive")
-    while True:
+    while True:  # unimodular steps keep the content; ReducedForm checks it
         if b > a or b <= -a:
             m = (b + a - 1) // (2 * a)  # shift b into (-a, a]
             b, c = b - 2 * a * m, a * m * m - b * m + c
@@ -168,7 +166,6 @@ class FormDensityReport:
     h: int
     delta: float
     target: float            # delta_Q * Li(x) / h
-    upper_bound: float       # 2 * delta_Q * Li(x) / h
     ratio: float
     below_upper_bound: bool
     asymptotic_threshold: PowerValue   # x >> D^695 validity range of the bound
@@ -188,7 +185,7 @@ def representation_density_report(form: ReducedForm, x: int) -> FormDensityRepor
     threshold = PowerValue.power(max(form.D, 2), 695.0)
     return FormDensityReport(
         form=form, x=float(x), count=count, h=summary.h, delta=d,
-        target=target, upper_bound=2.0 * target,
+        target=target,
         ratio=count / target if target else math.inf,
         below_upper_bound=count < 2.0 * target,
         asymptotic_threshold=threshold,

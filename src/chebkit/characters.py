@@ -80,11 +80,9 @@ def _dlog_table(g: int, modulus: int, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def character_table(q: int) -> np.ndarray:
-    """All phi(q) Dirichlet characters mod q as a (phi(q), q) complex array."""
+    """All phi(q) Dirichlet characters mod q as a read-only (phi(q), q) complex array."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    if q == 1:
-        return np.ones((1, 1), dtype=complex)
     comps = _cyclic_components(q)
     units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
     orders = [d for (_, d, _) in comps]
@@ -97,6 +95,7 @@ def character_table(q: int) -> np.ndarray:
             vals *= np.exp(2j * np.pi * k * idx / d)
         row[units] = vals
         rows.append(row)
-    table = np.array(rows)
     # principal character first, then by conductor-agnostic lexicographic order
+    table = np.array(rows)
+    table.flags.writeable = False   # the cache hands this one array to every caller
     return table

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, is_squarefree, kronecker_table
+from .arith import factorize, is_squarefree, kronecker
 from .bounds import FieldInvariants, range_thresholds
 from .errors import CapacityError, DomainError
 from .reports import BoundReport, PowerValue
@@ -60,8 +60,17 @@ def quadratic_field(d: int) -> AbelianExtension:
         raise CapacityError(f"|disc| = {abs(disc)} exceeds the Frobenius map limit {_MAX_MODULUS}")
     if d in (0, 1) or not is_squarefree(d):
         raise DomainError("quadratic field needs squarefree d != 0, 1")
+    # (disc/r) = prod over odd p | disc of (r/p), read from the squares mod p,
+    # times the symbol of the 2-part disc / prod p*, which has period 8
+    r, symbol, two_part = np.arange(abs(disc)), np.ones(abs(disc), np.int8), disc
+    for p in factorize(disc).keys() - {2}:
+        legendre = np.full(p, -1, np.int8)
+        legendre[np.arange(p) ** 2 % p], legendre[0] = 1, 0
+        symbol *= legendre[r % p]
+        two_part //= p if p % 4 == 1 else -p
+    symbol *= np.array([kronecker(two_part, n) for n in range(8)], np.int8)[r % 8]
     # symbol 1, -1, 0 -> split (0), inert (1), ramified (2)
-    index = np.array([2, 0, 1], np.int32)[np.array(kronecker_table(disc, abs(disc)))]
+    index = np.array([2, 0, 1], np.int32)[symbol]
     return AbelianExtension("quadratic", disc, index, (SPLIT, INERT), np.ones(2, int))
 
 

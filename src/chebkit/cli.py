@@ -230,12 +230,15 @@ def _cmd_chebotarev(args) -> list[dict]:
 
 def _cmd_mellin_check(args) -> list[dict]:
     spec = WeightSpec(x=args.x, ell=args.ell, eps=args.eps)
-    n_max = args.n_max or explicit.support_cap(spec)
+    cap = explicit.support_cap(spec)
+    n_max = args.n_max or cap
     if args.char_index is not None:
-        # single-character series: the direct side is the complex sum
+        # single-character series: the direct side is the complex sum over
+        # the whole support, whatever n_max truncates the contour's series to
         series = explicit.character_log_deriv(args.q, args.char_index, n_max)
-        t = np.log(series.values.astype(float)) / spec.log_x
-        direct = complex(np.sum(series.coeffs * weight_value(spec, t)))
+        full = series if n_max >= cap else explicit.character_log_deriv(args.q, args.char_index, cap)
+        t = np.log(full.values.astype(float)) / spec.log_x
+        direct = complex(np.sum(full.coeffs * weight_value(spec, t)))
     elif args.q == 1:
         series = explicit.zeta_log_deriv(n_max)
         direct = cheb.weighted_prime_sum(cheb.trivial_extension(), cheb.ConjClass(cheb.FULL), spec)

@@ -283,14 +283,12 @@ def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> Frobe
     """Exact a_p at one prime: the character sum for 'charsum', and for
     'auto' below ``_CHARSUM_CUTOFF``; else ``frobenius_traces`` on one lane.
     Bad-reduction primes give a record with ``skipped=True`` rather than an
-    exception; other primes >= 2^31, and character sums at p > 2^28, raise
-    ``CapacityError``."""
+    exception.  ``CapacityError`` comes from the callee: ``_trace_charsum``
+    refuses p > 2^28, and ``frobenius_traces`` primes >= 2^31."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
         return FrobeniusRecord(p=p, a_p=0, disc_part=0, skipped=True)
-    if p >= _LANE_LIMIT:
-        raise CapacityError(f"p must be below 2^31, got {p}")
     if method == "charsum" or (method == "auto" and p < _CHARSUM_CUTOFF):
         a = _trace_charsum(curve, p)
     else:

@@ -201,9 +201,6 @@ class ContourResult:
     n_terms: int
     sigma0: float
 
-    def consistent_with(self, direct: float) -> bool:
-        return abs(self.value - direct) <= self.budget
-
 
 def contour_sum(series: LogDerivSeries, spec: WeightSpec, t_max: float,
                 quad_step: float | None = None) -> ContourResult:

@@ -9,7 +9,7 @@ friends) are carried as ``PowerValue`` in natural-log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ class PowerValue:
         if constant <= 0:
             raise ValueError("constant must be positive")
         return PowerValue(self.log + math.log(constant))
-
-    @staticmethod
-    def from_value(value: float) -> "PowerValue":
-        if value <= 0:
-            raise ValueError("PowerValue requires a positive value")
-        return PowerValue(math.log(value))
 
     @staticmethod
     def power(base: float, exponent: float) -> "PowerValue":

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from chebkit.bounds import (FieldInvariants, brun_titchmarsh_constant,
-                            bt_constant_branch_gaps, density_bound_from_L,
-                            deuring_heilbronn_from_L, extension_complexity,
-                            log_complexity, low_lying_density_bound,
-                            range_thresholds, repulsion_threshold)
+                            density_bound_from_L, deuring_heilbronn_from_L,
+                            extension_complexity, log_complexity,
+                            low_lying_density_bound, range_thresholds,
+                            repulsion_threshold)
 from chebkit import elliptic
 from chebkit.bqf import class_number, count_represented_primes, delta_q
 from chebkit.chebotarev import (FULL, INERT, SPLIT, ConjClass, conj_classes,
@@ -35,6 +35,7 @@ from chebkit.sieve import li, primes_upto
 from chebkit.weights import (WeightSpec, check_decay_bound, check_growth_bound,
                              check_left_line_bound, check_real_axis_bound,
                              laplace_transform, laplace_transform_quadrature)
+from test_bounds import BT_BRANCH_POINTS
 
 LT_CURVES = [CurveModel(1, 1), CurveModel(-1, 1), CurveModel(2, 3),
              CurveModel(5, 7), CurveModel(-7, 10)]
@@ -257,14 +258,14 @@ def test_c6_bound_calculators_reproduce_worked_examples():
     close("unit basic", unit.basic.value, 2.0)
     close("unit sharp", unit.sharp.value, 2.0)
     # branch-point behavior: the closed branch governs within 1e-12
-    for bp, (closed, open_side, gap) in bt_constant_branch_gaps().items():
+    for bp, (closed, open_side) in BT_BRANCH_POINTS.items():
         got = brun_titchmarsh_constant(bp)
         assert abs(got - closed) <= 1e-12, (bp, got, closed)
+    jumps = [f"{abs(o - c):.1e}" for c, o in BT_BRANCH_POINTS.values()]
     elapsed = time.monotonic() - t0
     _report(6, "bound calculators", True,
             f"{len(checks)} worked examples at 1e-9, branch values closed-side "
-            f"within 1e-12 (one-sided jumps {[f'{g[2]:.1e}' for g in bt_constant_branch_gaps().values()]})",
-            elapsed)
+            f"within 1e-12 (one-sided jumps {jumps})", elapsed)
 
 
 def test_c7_lang_trotter_machinery(monkeypatch):

@@ -1,11 +1,11 @@
-import math
-
 import pytest
 
-from chebkit.arith import (factorize, is_squarefree, kronecker, kronecker_table,
-                           squarefree_kernel)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chebkit.arith import factorize, is_squarefree, kronecker, squarefree_kernel
+from chebkit.chebotarev import INERT, SPLIT, quadratic_field
 from chebkit.errors import DomainError
-from chebkit.sieve import primes_upto
 
 
 def legendre_by_squares(a, p):
@@ -45,12 +45,17 @@ def test_kronecker_special_values():
     assert kronecker(6, 4) == 0  # both even
 
 
-def test_discriminant_character_periodicity():
-    # for discriminants d = 0, 1 mod 4 the symbol is periodic mod |d|
-    for d in (-4, -8, -20, -23, 5, 13):
-        table = kronecker_table(d, abs(d))
-        for p in primes_upto(500):
-            assert kronecker(d, int(p)) == table[int(p) % abs(d)], (d, p)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-2000, max_value=2000).filter(
+    lambda d: d not in (0, 1) and is_squarefree(d)))
+def test_discriminant_character_periodicity(d):
+    # quadratic_field's map is the symbol (disc|r) at every residue r mod
+    # |disc|, built without the scalar kronecker
+    ext = quadratic_field(d)
+    labels = ext.labels + ("ramified",)
+    expect = {1: SPLIT, -1: INERT, 0: "ramified"}
+    assert [labels[k] for k in ext.index] == [expect[kronecker(ext.disc, r)]
+                                              for r in range(abs(ext.disc))]
 
 
 def test_factorize_roundtrip():

@@ -4,15 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebkit.bounds import (ASYMPTOTIC_REGIME_CUTOFF, FieldInvariants, ZeroPoint,
-                            brun_titchmarsh_constant, bt_constant_branch_gaps,
-                            density_bound, density_bound_from_L,
+from chebkit.bounds import (ASYMPTOTIC_REGIME_CUTOFF, FieldInvariants,
+                            brun_titchmarsh_constant, density_bound, density_bound_from_L,
                             deuring_heilbronn_exclusion, deuring_heilbronn_from_L,
                             extension_complexity, log_complexity,
                             low_lying_density_bound, range_thresholds,
                             repulsion_threshold)
 from chebkit.errors import DomainError
 from chebkit.reports import PowerValue
+
+# C(theta) at each branch point: (closed-branch value, open-side limit).
+# The constant jumps at 1/8 and 9/20 and differs by ~1e-6 at 2/3.
+BT_BRANCH_POINTS = {
+    0.125: (2.0, 16.0 / (8.0 - 3.0 * 0.125)),
+    0.45: (16.0 / (8.0 - 3.0 * 0.45), 8.0 / (6.0 - 7.0 * 0.45)),
+    2.0 / 3.0: ((2.0 - (1.0 / 12.0) ** 6) * 3.0, 8.0 / (6.0 - 14.0 / 3.0)),
+}
 
 
 def test_invariants_validation():
@@ -173,13 +180,13 @@ def test_bt_constant_closed_branch_governs_boundaries():
     assert brun_titchmarsh_constant(0.45) == pytest.approx(320.0 / 133.0, rel=1e-15)
     assert brun_titchmarsh_constant(2.0 / 3.0) == pytest.approx(
         (2 - (1.0 / 12.0) ** 6) * 3.0, rel=1e-15)
-    gaps = bt_constant_branch_gaps()
-    for bp, (closed, _open, gap) in gaps.items():
+    gaps = {bp: abs(open_side - closed) for bp, (closed, open_side) in BT_BRANCH_POINTS.items()}
+    for bp, (closed, _open) in BT_BRANCH_POINTS.items():
         assert brun_titchmarsh_constant(bp) == pytest.approx(closed, rel=1e-14)
     # known jump magnitudes (the 2/3 one is ~1e-6, the others macroscopic)
-    assert gaps[0.125][2] == pytest.approx(0.0983606557, rel=1e-6)
-    assert gaps[0.45][2] == pytest.approx(0.4010025063, rel=1e-6)
-    assert gaps[2.0 / 3.0][2] == pytest.approx(3.0 / 2985984.0, rel=1e-9)
+    assert gaps[0.125] == pytest.approx(0.0983606557, rel=1e-6)
+    assert gaps[0.45] == pytest.approx(0.4010025063, rel=1e-6)
+    assert gaps[2.0 / 3.0] == pytest.approx(3.0 / 2985984.0, rel=1e-9)
 
 
 def test_bt_constant_monotone_in_theta():
@@ -234,27 +241,8 @@ def test_range_threshold_constant_scaling():
 
 # --------------------------------------------------------------- zeros
 
-def test_zero_point_coordinates():
-    z = ZeroPoint(lam=0.3, mu=2.0)
-    assert z.beta(10.0) == pytest.approx(0.97)
-    assert z.gamma(10.0) == pytest.approx(0.2)
-    assert z.in_window(10.0, eta=1.0)
-    assert not z.in_window(10.0, eta=3.0)
-
-
-def test_zero_point_validation():
-    with pytest.raises(DomainError):
-        ZeroPoint(lam=0.0, mu=0.0)
-    with pytest.raises(DomainError):
-        ZeroPoint(lam=0.1, mu=1.0, is_real_zero=True)
-    with pytest.raises(DomainError):
-        ZeroPoint(lam=20.0, mu=0.0).beta(10.0)  # beta would leave the strip
-
-
 def test_power_value_helpers():
     assert PowerValue(800.0).value == math.inf
     assert PowerValue.power(10.0, 2.0).value == pytest.approx(100.0)
     s = PowerValue.sum([PowerValue.power(10, 3), PowerValue.power(10, 2)])
     assert s.value == pytest.approx(1100.0)
-    with pytest.raises(ValueError):
-        PowerValue.from_value(-1.0)

@@ -73,6 +73,18 @@ def test_mellin_check_direct_side_exact_beyond_sixteen_folds():
     assert json.loads(text)["difference"] < 1e-6
 
 
+def test_mellin_check_char_direct_side_ignores_n_max():
+    # --n-max truncates the contour's series only; the direct side is the
+    # weighted sum over the whole support, as on the class branch
+    argv = ["--format", "json", "mellin-check", "--q", "5", "--char-index", "1",
+            "--x", "300"]
+    default = json.loads(run(argv)[1])
+    short = json.loads(run(argv + ["--n-max", "150"])[1])
+    assert (short["direct_re"], short["direct_im"]) == (default["direct_re"],
+                                                        default["direct_im"])
+    assert short["contour_re"] != default["contour_re"]
+
+
 def test_global_flags_accepted_after_subcommand():
     before = run(["--format", "csv", "pi-ap", "--q", "4", "--a", "1", "--x", "100"])
     after = run(["pi-ap", "--q", "4", "--a", "1", "--x", "100", "--format", "csv"])
