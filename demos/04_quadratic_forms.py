@@ -35,7 +35,8 @@ for f in class_number(23).forms:
           f"   delta = {d}, target = {d * target_total / 3:,.0f}")
 
 # the full density report for the principal form of disc -4
-report = representation_density_report(reduce_form(1, 0, 1), 10**6)
+form = reduce_form(1, 0, 1)
+[report] = representation_density_report(form, count_represented_primes(form, 10**6))
 print(f"\nsums of two squares up to 10^6:")
 print(f"  count  = {report.count:,}")
 print(f"  target = {report.target:,.1f}  (delta Li(x)/h)")

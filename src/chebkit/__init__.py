@@ -7,7 +7,7 @@ Subpackage map:
                    decay-bound checks
 - ``bounds``       complexity, zero-density, repulsion, exclusion, the
                    classical Brun-Titchmarsh constant, range thresholds
-- ``sieve``        segmented prime generation, Li(x), partial summation
+- ``sieve``        segmented prime generation, prime powers, Li(x)
 - ``progressions`` primes in arithmetic progressions + Brun-Titchmarsh checks
 - ``bqf``          binary quadratic forms: reduction, class numbers,
                    represented primes
@@ -26,7 +26,7 @@ from .bqf import (ClassGroupSummary, ReducedForm, class_number,
 from .chebotarev import (AbelianExtension, ConjClass, artin_class,
                          counting_chain_check, cyclotomic_field,
                          density_ratio_report, pi_class, psi_class,
-                         quadratic_field, theta_class, theta_series,
+                         quadratic_field, theta_class, theta_partial_sum,
                          trivial_extension, weighted_prime_sum)
 from .elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                        frobenius_traces, growth_shape_report, read_curves,
@@ -37,8 +37,7 @@ from .explicit import (LogDerivSeries, character_log_deriv, class_log_deriv,
 from .progressions import (APQuery, euler_phi, maynard_check,
                            montgomery_vaughan_check, pi_ap, residue_counts)
 from .reports import BoundReport, PowerValue
-from .sieve import (CountSeries, li, partial_sum_pi_from_theta, prime_powers,
-                    primes_upto, segmented_primes)
+from .sieve import CountSeries, li, prime_powers, primes_upto, segmented_primes
 from .weights import (WeightSpec, check_decay_bound, check_growth_bound,
                       check_left_line_bound, check_real_axis_bound,
                       laplace_transform, laplace_transform_quadrature,

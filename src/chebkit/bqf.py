@@ -158,7 +158,8 @@ def count_represented_primes(form: ReducedForm, x: int,
 
 @dataclass(frozen=True)
 class FormDensityReport:
-    """Comparison of a representation count against delta_Q Li(x)/h(-D)."""
+    """Comparison of a representation count against delta_Q Li(x)/h(-D);
+    below x = 2 the target, and so the ratio, is nan."""
 
     form: ReducedForm
     x: float
@@ -172,22 +173,23 @@ class FormDensityReport:
     in_proven_range: bool
 
 
-def representation_density_report(form: ReducedForm, x: int) -> FormDensityReport:
-    """Count represented primes up to x and compare with the class-number
-    prediction.  At desk scale x is far below the proven validity range
+def representation_density_report(form: ReducedForm,
+                                  series: CountSeries) -> list[FormDensityReport]:
+    """Compare the form's represented-prime counts (``series``, from
+    ``count_represented_primes``) with the class-number prediction at each
+    checkpoint.  At desk scale x is far below the proven validity range
     D^695 of the strict upper bound, so the comparison is a consistency
     check of the asymptotic density, and is flagged as such.
     """
-    summary = class_number(form.D)
-    d = delta_q(form)
-    count = int(count_represented_primes(form, x).counts[-1])
-    target = d * li(float(x)) / summary.h
+    h, d = class_number(form.D).h, delta_q(form)
     threshold = PowerValue.power(max(form.D, 2), 695.0)
-    return FormDensityReport(
-        form=form, x=float(x), count=count, h=summary.h, delta=d,
-        target=target,
-        ratio=count / target if target else math.inf,
-        below_upper_bound=count < 2.0 * target,
-        asymptotic_threshold=threshold,
-        in_proven_range=math.log(x) >= threshold.log,
-    )
+    reports = []
+    for x, count in zip(series.checkpoints.tolist(), series.counts.tolist()):
+        target = d * li(x) / h if x >= 2 else math.nan
+        reports.append(FormDensityReport(
+            form=form, x=x, count=int(count), h=h, delta=d, target=target,
+            ratio=count / target if target else math.nan,
+            below_upper_bound=count < 2.0 * target,
+            asymptotic_threshold=threshold,
+            in_proven_range=x >= 2 and math.log(x) >= threshold.log))
+    return reports

@@ -1,8 +1,10 @@
 """Frobenius-class prime counting for quadratic and cyclotomic extensions
 of the rationals, each stored as its Frobenius map (an int array from
 residues mod |disc| to class positions).  pi_C, theta_C and psi_C are
-reads of one census per (field, x) that counts every class in one pass;
-the psi/theta/pi chain and the smoothed prime sum select their own terms.
+reads of one census per (field, x) that counts every class in one pass.
+The partial-summation chain sums theta_C and psi_C by parts: census
+counts up to x and a head of prime powers up to x0.  Only the smoothed
+prime sum selects its own terms.
 
 Conventions: the class indicator at a ramified prime is 0 (deterministic,
 and safe for every upper-bound comparison); the weighted counters use a
@@ -21,8 +23,7 @@ from .arith import factorize, is_squarefree, kronecker
 from .bounds import FieldInvariants, range_thresholds
 from .errors import CapacityError, DomainError
 from .reports import BoundReport, PowerValue
-from .sieve import (CountSeries, _higher_powers, li, partial_sum_pi_from_theta, prime_powers,
-                    primes_upto)
+from .sieve import _higher_powers, li, prime_powers, primes_upto
 from .weights import WeightSpec, weight_value
 
 SPLIT = "split"
@@ -137,15 +138,16 @@ def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
     return values[hit], np.log(primes[hit])
 
 
-# (extension, x, (pi_C, theta_C, psi_C) over the classes): the census of
+# (extension, x, the _census counters over the classes): the census of
 # the last pair asked, replaced whole; it holds no per-prime arrays
 _last_census = (None, None, None)
 
 
-def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """pi_C(x), theta_C(x) and psi_C(x) for every class, in label order,
-    from one pass: each prime's class is one lookup in ext.index, and each
-    counter one bincount, whose last bin (the ramified primes) is dropped."""
+def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, ...]:
+    """pi_C(x), theta_C(x), psi_C(x), #{p < x} and the sum of 1/m over
+    p^m < x with m >= 2, for every class in label order, from one pass:
+    each prime's class is one lookup in ext.index, and each counter one
+    bincount, whose last bin (the ramified primes) is dropped."""
     global _last_census
     at_ext, at_x, counts = _last_census
     if at_ext is ext and at_x == x:
@@ -154,11 +156,14 @@ def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, np.ndarray, np
     ps = primes_upto(x)
     k = ext.index[ps % mod]
     below = int(np.searchsorted(ps, x))
-    pi = np.bincount(k, minlength=n)[:-1]
+    first = np.bincount(k[:below], minlength=n)[:-1]
+    pi = first + np.bincount(k[below:], minlength=n)[:-1]     # x itself, if prime
     theta = np.bincount(k[:below], weights=np.log(ps[:below]), minlength=n)[:-1]
-    values, primes, _ = _higher_powers(math.ceil(x) - 1)
-    psi = theta + np.bincount(ext.index[values % mod], weights=np.log(primes), minlength=n)[:-1]
-    _last_census = (ext, x, (pi, theta, psi))
+    values, primes, exps = _higher_powers(math.ceil(x) - 1)
+    kh = ext.index[values % mod]
+    psi = theta + np.bincount(kh, weights=np.log(primes), minlength=n)[:-1]
+    higher = np.bincount(kh, weights=1.0 / exps, minlength=n)[:-1]
+    _last_census = (ext, x, (pi, theta, psi, first, higher))
     return _last_census[2]
 
 
@@ -176,24 +181,36 @@ def theta_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
     return float(_census(ext, x)[1][_class_index(ext, cls)])
 
 
-def theta_series(ext: AbelianExtension, cls: ConjClass, x: float) -> CountSeries:
-    """theta_C as a step table: a checkpoint at each class prime p < x
-    holding theta_C just past p, and a last checkpoint at x."""
-    ps = primes_upto(math.ceil(x) - 1)
-    return _class_series(ext, cls, x, ps, ps)
-
-
 def pi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> int:
     """#{p <= x : p unramified, Frob(p) in C} (inclusive cutoff)."""
     return int(_census(ext, x)[0][_class_index(ext, cls)])
 
 
-def _class_series(ext: AbelianExtension, cls: ConjClass, x: float, values: np.ndarray,
-                  primes: np.ndarray) -> CountSeries:
-    """Cumulative class-weighted log p over ascending prime powers below x,
-    closed by a checkpoint at x."""
-    kept, logp = _class_terms(ext, cls, values, primes)
-    return CountSeries(np.append(kept, x), np.cumsum(np.append(logp, 0.0)))
+def _summed_by_parts(ext: AbelianExtension, cls: ConjClass, x0: float,
+                     x: float) -> tuple[float, float]:
+    """S(x)/log x + int_{x0}^x S(t)/(t log^2 t) dt for S = theta_C and for
+    S = psi_C, exactly: S is a step function, so by parts the sum is
+
+        S(x0)/log x0 + sum_{x0 < n < x} Lambda(n)/log n,
+
+    where Lambda(n)/log n is 1 at a prime and 1/m at p^m.  The census holds
+    that sum over all n < x; the head n <= x0 trades its terms for S(x0)/log x0.
+    """
+    if not (x > x0 > 3):
+        raise DomainError("need x > x0 > 3")
+    k = _class_index(ext, cls)
+    _, _, _, first, higher = _census(ext, x)
+    kept, logp = _class_terms(ext, cls, *prime_powers(x0, strict=False)[:2])
+    w = logp / np.log(kept)          # exactly 1 at a prime, about 1/m at p^m
+    head = logp / math.log(x0) - w
+    theta = float(first[k]) + float(np.sum(head[w == 1]))
+    return theta, float(first[k]) + float(higher[k]) + float(np.sum(head))
+
+
+def theta_partial_sum(ext: AbelianExtension, cls: ConjClass, x0: float, x: float) -> float:
+    """theta_C(x)/log x + int_{x0}^x theta_C(t)/(t log^2 t) dt, which is
+    #{x0 < p < x : Frob(p) in C} + theta_C(x0)/log x0."""
+    return _summed_by_parts(ext, cls, x0, x)[0]
 
 
 def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float,
@@ -202,15 +219,12 @@ def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float,
 
         pi_C(x) <= psi_C(x)/log x + int_{x0}^x psi_C(t)/(t log^2 t) dt + x0
 
-    with the integral evaluated exactly piecewise (psi is a step function),
-    so the only slack is the n_F * x0 term (n_F = 1 here).
+    with the integral summed exactly by parts, so the only slack is the
+    n_F * x0 term (n_F = 1 here).
     """
-    if not (x > x0 > 3):
-        raise DomainError("need x > x0 > 3")
-    psi = _class_series(ext, cls, x, *prime_powers(x, strict=True)[:2])
-    lhs = float(pi_class(ext, cls, x))
-    rhs = partial_sum_pi_from_theta(psi, x0, x) + x0
-    return BoundReport.compare(lhs, rhs, label="pi <= smoothed psi chain")
+    rhs = _summed_by_parts(ext, cls, x0, x)[1] + x0
+    return BoundReport.compare(float(pi_class(ext, cls, x)), rhs,
+                               label="pi <= smoothed psi chain")
 
 
 def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass, spec: WeightSpec) -> float:

@@ -35,7 +35,6 @@ from . import elliptic
 from . import explicit
 from . import progressions as ap
 from .errors import CapacityError, DomainError
-from .sieve import li, partial_sum_pi_from_theta
 from .weights import (WeightSpec, check_decay_bound, check_growth_bound,
                       check_left_line_bound, check_real_axis_bound,
                       laplace_transform, weight_value)
@@ -182,21 +181,13 @@ def _cmd_bt_check(args) -> list[dict]:
 def _cmd_bqf(args) -> list[dict]:
     a, b, c = (int(t) for t in args.form.split(","))
     form = bqf_mod.reduce_form(a, b, c)
-    summary = bqf_mod.class_number(args.D)
     if form.D != args.D:
         raise DomainError(f"form discriminant -{form.D} does not match --D {args.D}")
-    checkpoints = args.checkpoints or [args.x]
-    series = bqf_mod.count_represented_primes(form, int(args.x), checkpoints)
-    report = bqf_mod.representation_density_report(form, int(args.x))
-    rows = []
-    for x_cp, count in zip(series.checkpoints, series.counts):
-        target = report.delta * li(float(x_cp)) / report.h if x_cp >= 2 else math.nan
-        rows.append({"x": float(x_cp), "count": int(count), "target": target,
-                     "ratio": count / target if target else math.nan,
-                     "h": report.h, "delta_Q": report.delta,
-                     "below_upper_bound": bool(count < 2.0 * target) if target else False,
-                     "in_proven_range": report.in_proven_range})
-    return rows
+    series = bqf_mod.count_represented_primes(form, int(args.x), args.checkpoints or [args.x])
+    return [{"x": r.x, "count": r.count, "target": r.target, "ratio": r.ratio,
+             "h": r.h, "delta_Q": r.delta, "below_upper_bound": r.below_upper_bound,
+             "in_proven_range": r.in_proven_range}
+            for r in bqf_mod.representation_density_report(form, series)]
 
 
 def _make_extension(args) -> tuple[cheb.AbelianExtension, cheb.ConjClass]:
@@ -213,7 +204,7 @@ def _cmd_chebotarev(args) -> list[dict]:
     ext, cls = _make_extension(args)
     report = cheb.density_ratio_report(ext, cls, args.x)
     chain = cheb.counting_chain_check(ext, cls, args.x0, args.x)
-    est = partial_sum_pi_from_theta(cheb.theta_series(ext, cls, args.x), args.x0, args.x)
+    est = cheb.theta_partial_sum(ext, cls, args.x0, args.x)
     return [{
         "kind": ext.kind, "class": str(cls.key), "x": args.x,
         "count": report.count,

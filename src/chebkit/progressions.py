@@ -48,8 +48,6 @@ def euler_phi(q: int) -> int:
 def pi_ap(query: APQuery) -> int:
     """Exact count of primes p <= x with p = a (mod q); q = 1 counts all."""
     ps = primes_upto(query.x)
-    if query.q == 1:
-        return int(ps.size)
     return int(np.count_nonzero(ps % query.q == query.a % query.q))
 
 
@@ -58,8 +56,6 @@ def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.nda
     if q < 1:
         raise DomainError("modulus must be >= 1")
     ps = primes_upto(x) if primes is None else primes[primes <= x]
-    if q == 1:
-        return np.array([ps.size], dtype=np.int64)
     return np.bincount(ps % q, minlength=q).astype(np.int64)
 
 

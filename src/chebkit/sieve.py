@@ -41,17 +41,20 @@ class CountSeries:
             raise DomainError("checkpoints and counts must have equal length")
         if cps.size and np.any(np.diff(cps) <= 0):
             raise DomainError("checkpoints must be strictly ascending")
-        # real-valued series (log-weighted counts) may carry last-bit
-        # summation noise; integer counts are still held to exactness
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(cts))) if cts.size else 1.0)
-        if cts.size and np.any(np.diff(cts) < -tol):
+        if np.any(np.diff(cts) < 0):
             raise DomainError(f"counts must be monotone nondecreasing ({self.label!r})")
 
     @classmethod
     def of_hits(cls, hits: np.ndarray, x: float, checkpoints=None,
                 label: str = "") -> CountSeries:
-        """Count the ascending ``hits`` <= each checkpoint (default: x alone)."""
+        """Count the ascending ``hits`` <= each checkpoint (default: x alone).
+        The hits stop at x, so a checkpoint whose floor exceeds x (or a nan)
+        is refused."""
         cps = np.asarray([x] if checkpoints is None else checkpoints, dtype=float)
+        past = cps[~(np.floor(cps) <= x)]
+        if past.size:
+            raise DomainError(f"checkpoint {past[0]:g} lies past x = {x:g}, where the counted "
+                              "primes stop")
         return cls(cps, np.searchsorted(hits, cps, side="right").astype(float), label)
 
     def at(self, x: float) -> float:
@@ -172,27 +175,3 @@ def li(x: float) -> float:
     w[2:-1:2] = 2.0
     h = (b - a) / n
     return float(h / 3.0 * np.dot(w, g))
-
-
-def partial_sum_pi_from_theta(theta_series: CountSeries, x0: float, x: float) -> float:
-    """Partial summation theta(x)/log x + int_{x0}^{x} theta(t)/(t log^2 t) dt.
-
-    The series is read as the step function of ``CountSeries.at`` (zero
-    before its first checkpoint), so the integral is exact: the sum of
-    level_i * (1/log t_i - 1/log t_{i+1}) over x0, the checkpoints inside
-    (x0, x), and x.  For the theta of a set of primes with a checkpoint at
-    each prime this equals #{x0 < p <= x} + theta(x0)/log x0.  The series
-    must reach x.
-    """
-    if not (x > x0 > 3):
-        raise DomainError("need x > x0 > 3")
-    cps = theta_series.checkpoints
-    if cps.size == 0 or cps[-1] < x:
-        raise DomainError("theta series does not reach x")
-    # cps[i0:] lie past x0, so the levels on ts are counts[i0 - 1:], 0 before cps[0]
-    i0 = int(np.searchsorted(cps, x0, side="right"))
-    ts = np.concatenate(([x0], cps[i0: int(np.searchsorted(cps, x))], [x]))
-    levels = np.concatenate(([0.0], theta_series.counts))[i0: i0 + ts.size - 1]
-    inv_log = 1.0 / np.log(ts)
-    integral = float(np.sum(levels * (inv_log[:-1] - inv_log[1:])))
-    return theta_series.at(x) / math.log(x) + integral

@@ -216,7 +216,8 @@ def test_checkpoint_series_monotone():
 # ------------------------------------------------ density / cover checks
 
 def test_density_report_fields():
-    r = representation_density_report(ReducedForm(1, 0, 1), 10**5)
+    form = ReducedForm(1, 0, 1)
+    [r] = representation_density_report(form, count_represented_primes(form, 10**5))
     assert r.h == 1 and r.delta == 0.5
     assert r.below_upper_bound
     assert not r.in_proven_range  # 1e5 is far below the D^695 range

@@ -16,12 +16,13 @@ from chebkit.chebotarev import (FULL, INERT, SPLIT, AbelianExtension, ConjClass,
                                 artin_class, class_share, conj_classes,
                                 counting_chain_check, cyclotomic_field,
                                 density_ratio_report, pi_class, psi_class,
-                                quadratic_field, theta_class, trivial_extension,
-                                weighted_prime_sum)
+                                quadratic_field, theta_class, theta_partial_sum,
+                                trivial_extension, weighted_prime_sum)
 from chebkit.errors import CapacityError, DomainError
 from chebkit.progressions import APQuery, euler_phi, pi_ap
-from chebkit.sieve import primes_upto
+from chebkit.sieve import CountSeries, primes_upto
 from chebkit.weights import WeightSpec
+from test_sieve import partial_sum_pi_from_theta
 
 
 # ------------------------------------------------------------- oracles
@@ -358,6 +359,53 @@ def test_census_matches_per_prime_reference(d, q, x):
                 + sum(1 for p in ext.ramified if p <= x)) == primes_upto(x).size
 
 
+def step_series(ext, x, first_powers_only):
+    """{class key: the step CountSeries of psi_C (theta_C) below x}: a
+    checkpoint at each class prime power (prime) n < x holding the sum up
+    to n, closed by one at x; classes found per prime by the Kronecker
+    symbol or pow(p, m, q)."""
+    terms = []
+    for p in primes_upto(x).tolist():
+        pm, m = p, 1
+        while pm < x and (m == 1 or not first_powers_only):
+            terms.append((pm, math.log(p), frobenius_power_key(ext, p, m)))
+            pm, m = pm * p, m + 1
+    terms.sort()
+    series = {}
+    for key in ext.labels:
+        kept = [(n, logp) for n, logp, k in terms if k == key]
+        cps = [n for n, _ in kept] + [x]
+        series[key] = CountSeries(cps, np.cumsum([logp for _, logp in kept] + [0.0]))
+    return series
+
+
+_PRIME_POWERS_TO_500 = [n for n in _PRIME_POWERS + _SMALL_PRIMES if 3 < n <= 500]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       field=st.one_of(
+           st.integers(-300, 300).filter(lambda d: d not in (0, 1) and _squarefree(d))
+           .map(quadratic_field),
+           st.integers(3, 200).map(cyclotomic_field)),
+       x0=st.one_of(st.sampled_from(_PRIME_POWERS_TO_500),      # on a prime power
+                    st.integers(4, 500),
+                    st.floats(3.0, 500.0, exclude_min=True)))
+def test_chain_summed_by_parts_matches_the_step_integral(data, field, x0):
+    x = data.draw(st.one_of(st.sampled_from([p for p in _SMALL_PRIMES if x0 < p <= 5000]),
+                            st.floats(x0 + 1, 5000.0).filter(lambda t: t != int(t))))
+    psi, theta = step_series(field, x, False), step_series(field, x, True)
+    for cls in conj_classes(field):
+        count = sum(1 for p in primes_upto(x).tolist()
+                    if frobenius_power_key(field, p, 1) == cls.key)
+        rhs = partial_sum_pi_from_theta(psi[cls.key], x0, x) + x0
+        chain = counting_chain_check(field, cls, x0, x)
+        assert chain.lhs == count and chain.passed == (count <= rhs)
+        assert chain.rhs == pytest.approx(rhs, rel=1e-12)
+        assert theta_partial_sum(field, cls, x0, x) == pytest.approx(
+            partial_sum_pi_from_theta(theta[cls.key], x0, x), rel=1e-12)
+
+
 _FRESH_CENSUS = """
 import json, sys
 from chebkit.chebotarev import conj_classes, cyclotomic_field, pi_class, psi_class, theta_class
@@ -383,6 +431,15 @@ def test_census_is_built_once_per_field_and_x(monkeypatch):
     c12 = cyclotomic_field(12)
     read_all(c12, 5000.0)
     assert len(builds) == 1 and len(results) == 12
+    assert all(r is results[0] for r in results)
+    # the chain and the theta estimate read the same census, and list
+    # prime powers only up to x0
+    limits, prime_powers_ = [], chebotarev.prime_powers
+    monkeypatch.setattr(chebotarev, "prime_powers",
+                        lambda limit, **kw: limits.append(limit) or prime_powers_(limit, **kw))
+    counting_chain_check(c12, ConjClass(5), 10, 5000.0)
+    theta_partial_sum(c12, ConjClass(7), 10, 5000.0)
+    assert len(builds) == 1 and limits == [10, 10]
     assert all(r is results[0] for r in results)
     got = read_all(c12, 7919.0)          # a new x rebuilds
     assert len(builds) == 2

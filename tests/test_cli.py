@@ -10,7 +10,7 @@ import pytest
 
 from chebkit import bounds, bqf, chebotarev, elliptic, explicit, progressions
 from chebkit.cli import SUBCOMMANDS, build_parser, run
-from chebkit.sieve import li, partial_sum_pi_from_theta, primes_upto, segmented_primes
+from chebkit.sieve import li, primes_upto, segmented_primes
 from chebkit.weights import (check_decay_bound, check_growth_bound,
                              check_left_line_bound, check_real_axis_bound,
                              laplace_transform, weight_value)
@@ -179,6 +179,23 @@ def test_chebotarev_partial_sum_is_exact():
     assert json.loads(text)["partial_sum_estimate"] == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bqf", "--D", "4", "--x", "1000", "--form", "1,0,1", "--checkpoints", "500,1000,2000"],
+    ["lang-trotter", "--curve", "1,1", "--mode", "trace", "--x", "1000",
+     "--checkpoints", "500,5000"],
+])
+def test_checkpoint_past_x_is_refused(argv):
+    # the counts stop at --x, so a later checkpoint would read the count at x
+    code, text = run(argv)
+    assert code == 2 and "past x = 1000" in text
+
+
+def test_default_checkpoint_at_fractional_x():
+    code, text = run(["bqf", "--D", "4", "--x", "1000.5", "--form", "1,0,1"])
+    assert code == 0
+    assert json.loads(text)["count"] == 81 and json.loads(text)["x"] == 1000.5
+
+
 def test_twelve_digit_float_formatting():
     code, text = run(["bounds", "--n-k", "1", "--d-k", "1", "--q-max", "5",
                       "--theta", "0.5", "--format", "csv"])
@@ -282,13 +299,13 @@ def test_operation_coverage_table(tmp_path):
         bounds.log_complexity, bounds.density_bound, bounds.low_lying_density_bound,
         bounds.repulsion_threshold, bounds.deuring_heilbronn_exclusion,
         bounds.brun_titchmarsh_constant, bounds.range_thresholds,
-        segmented_primes, primes_upto, li, partial_sum_pi_from_theta,
+        segmented_primes, primes_upto, li,
         progressions.pi_ap, progressions.montgomery_vaughan_check,
         progressions.maynard_check,
         bqf.reduce_form, bqf.class_number, bqf.delta_q,
         bqf.count_represented_primes, bqf.representation_density_report,
         chebotarev.artin_class, chebotarev.psi_class, chebotarev.theta_class,
-        chebotarev.pi_class, chebotarev.counting_chain_check,
+        chebotarev.pi_class, chebotarev.theta_partial_sum, chebotarev.counting_chain_check,
         chebotarev.weighted_prime_sum, chebotarev.density_ratio_report,
         explicit.contour_sum, explicit.tail_bound, explicit.zeta_log_deriv,
         explicit.class_log_deriv, explicit.character_log_deriv,

@@ -36,6 +36,10 @@ def test_pi_ap_enumerated_example():
 
 def test_pi_ap_modulus_one_counts_all():
     assert pi_ap(APQuery(q=1, a=0, x=10)) == 4
+    assert pi_ap(APQuery(q=1, a=7, x=10)) == 4
+    for x, expect in ((10, [4]), (1, [0])):
+        counts = residue_counts(1, x)
+        assert counts.tolist() == expect and counts.dtype == np.int64
 
 
 def test_residue_counts_agree_with_pi_ap():

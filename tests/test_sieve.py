@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from chebkit import sieve
 from chebkit.errors import CapacityError, DomainError
-from chebkit.sieve import (CountSeries, li, partial_sum_pi_from_theta,
-                           prime_powers, primes_upto, segmented_primes,
-                           simple_sieve)
+from chebkit.sieve import (CountSeries, li, prime_powers, primes_upto,
+                           segmented_primes, simple_sieve)
 
 
 # ------------------------------------------------------------- oracles
@@ -210,6 +209,30 @@ def test_li_domain():
 
 # ------------------------------------------------------- partial summation
 
+def partial_sum_pi_from_theta(theta_series: CountSeries, x0: float, x: float) -> float:
+    """Reference: theta(x)/log x + int_{x0}^{x} theta(t)/(t log^2 t) dt.
+
+    The series is read as the step function of ``CountSeries.at`` (zero
+    before its first checkpoint), so the integral is exact: the sum of
+    level_i * (1/log t_i - 1/log t_{i+1}) over x0, the checkpoints inside
+    (x0, x), and x.  For the theta of a set of primes with a checkpoint at
+    each prime this equals #{x0 < p <= x} + theta(x0)/log x0.  The series
+    must reach x.
+    """
+    if not (x > x0 > 3):
+        raise DomainError("need x > x0 > 3")
+    cps = theta_series.checkpoints
+    if cps.size == 0 or cps[-1] < x:
+        raise DomainError("theta series does not reach x")
+    # cps[i0:] lie past x0, so the levels on ts are counts[i0 - 1:], 0 before cps[0]
+    i0 = int(np.searchsorted(cps, x0, side="right"))
+    ts = np.concatenate(([x0], cps[i0: int(np.searchsorted(cps, x))], [x]))
+    levels = np.concatenate(([0.0], theta_series.counts))[i0: i0 + ts.size - 1]
+    inv_log = 1.0 / np.log(ts)
+    integral = float(np.sum(levels * (inv_log[:-1] - inv_log[1:])))
+    return theta_series.at(x) / math.log(x) + integral
+
+
 def test_partial_sum_zero_series():
     grid = np.linspace(4, 30, 100)
     series = CountSeries(grid, np.zeros(grid.size), "zero")
@@ -279,6 +302,18 @@ def test_partial_sum_domain_errors():
 def test_count_series_rejects_decreasing_counts():
     with pytest.raises(DomainError):
         CountSeries(np.array([1.0, 2.0]), np.array([3.0, 1.0]), "bad")
+    with pytest.raises(DomainError):      # no tolerance, however small the drop
+        CountSeries(np.array([1.0, 2.0]), np.array([1e6, 1e6 - 1e-6]), "bad")
+
+
+def test_of_hits_refuses_checkpoints_past_x():
+    hits = np.array([2, 3, 5, 7])
+    assert CountSeries.of_hits(hits, 7).counts.tolist() == [4.0]
+    # a checkpoint counts the hits up to its floor, which may equal x
+    assert CountSeries.of_hits(hits, 10, [5, 10.5]).counts.tolist() == [3.0, 4.0]
+    for cps in ([5, 11], [5, float("nan")]):
+        with pytest.raises(DomainError, match="past x = 10"):
+            CountSeries.of_hits(hits, 10, cps)
 
 
 def test_count_series_rejects_unsorted_checkpoints():
