@@ -13,8 +13,10 @@ Every library operation is reachable through one of the subcommands:
 
 Reports are emitted as JSON (default) or CSV with a header row; floats are
 printed with 12 significant digits so repeated runs diff cleanly.  A flat
-``key = value`` config file supplies defaults which flags override.
-Exit status is 0 on success and 2 on a usage or domain error.
+``key = value`` config file supplies defaults which flags override.  Only
+``--format`` and ``--config`` may stand anywhere; every other flag belongs
+to its subcommand.  Exit status is 0 on success and 2 on a usage or domain
+error.
 """
 
 from __future__ import annotations
@@ -191,13 +193,13 @@ def _cmd_bqf(args) -> list[dict]:
 
 
 def _make_extension(args) -> tuple[cheb.AbelianExtension, cheb.ConjClass]:
+    if (args.d is None) == (args.cyclotomic is None):
+        raise DomainError("need exactly one of --d and --cyclotomic")
     if args.d is not None:
         return cheb.quadratic_field(args.d), cheb.ConjClass(args.cls)
-    if args.cyclotomic is not None:
-        ext, a = cheb.cyclotomic_field(args.cyclotomic), int(args.cls)
-        # the class of the primes = a (mod q); the counters refuse a non-unit a
-        return ext, cheb.artin_class(ext, a) or cheb.ConjClass(a)
-    raise DomainError("need --d or --cyclotomic")
+    ext, a = cheb.cyclotomic_field(args.cyclotomic), int(args.cls)
+    # the class of the primes = a (mod q); the counters refuse a non-unit a
+    return ext, cheb.artin_class(ext, a) or cheb.ConjClass(a)
 
 
 def _cmd_chebotarev(args) -> list[dict]:
@@ -258,7 +260,11 @@ def _cmd_mellin_check(args) -> list[dict]:
 
 
 def _cmd_lang_trotter(args) -> list[dict]:
-    if args.curves_file:
+    if (args.curve is None) == (args.curves_file is None):
+        raise DomainError("need exactly one of --curve and --curves-file")
+    if args.mode == "field" and args.disc is None:
+        raise DomainError("--mode field needs --disc")
+    if args.curves_file is not None:
         curves = elliptic.read_curves(args.curves_file)
     else:
         a_coef, b_coef = (int(t) for t in args.curve.split(","))
@@ -298,35 +304,22 @@ SUBCOMMANDS = tuple(_HANDLERS)
 # ------------------------------------------------------------------ driver
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # shared flags accepted both before and after the subcommand; the
-    # after-the-subcommand copies use SUPPRESS so they never clobber a
-    # value the top-level parse already set
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--config", default=d(None),
-                        help="flat 'key = value' defaults file")
-    parser.add_argument("--format", choices=("csv", "json"), default=d("json"),
-                        help="report format (default json)")
-    parser.add_argument("--checkpoints", type=str, default=d(""),
-                        help="comma-separated x checkpoints for counting commands")
-    parser.add_argument("--delta0", type=float, default=d(1e-3),
-                        help="complexity offset delta0 (default 1e-3)")
-    parser.add_argument("--eta", type=float, default=d(1e-2),
-                        help="low-lying window parameter (default 1e-2)")
-    parser.add_argument("--c1", type=float, default=d(1.0),
-                        help="exclusion constant c1 (default 1)")
-    parser.add_argument("--slack", type=float, default=d(0.1),
-                        help="o(1) stand-in for the heuristic check (default 0.1)")
+def _global_flags() -> argparse.ArgumentParser:
+    # the two flags that stand anywhere in argv; without abbreviations,
+    # bqf's --form is never read as --format
+    flags = argparse.ArgumentParser(prog="chebkit", add_help=False, allow_abbrev=False)
+    flags.add_argument("--config", help="flat 'key = value' defaults file")
+    flags.add_argument("--format", choices=("csv", "json"),
+                       help="report format (default json)")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the global flags here serve -h and the config; run reads them from argv
     parser = argparse.ArgumentParser(
-        prog="chebkit",
+        prog="chebkit", parents=[_global_flags()], allow_abbrev=False,
         description="Prime counting in Frobenius classes and explicit bound calculators")
-    _add_common_flags(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common_flags(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weights-verify", help="check the transform bounds on a sample")
     p.add_argument("--x", type=float, required=True)
@@ -349,21 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda1", type=float)
     p.add_argument("--beta1", type=float)
     p.add_argument("--theta", type=float)
+    p.add_argument("--delta0", type=float, default=1e-3, help="complexity offset (default 1e-3)")
+    p.add_argument("--eta", type=float, default=1e-2, help="low-lying window (default 1e-2)")
+    p.add_argument("--c1", type=float, default=1.0, help="exclusion constant (default 1)")
 
     p = sub.add_parser("pi-ap", help="count primes in one progression")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
+    p.add_argument("--slack", type=float, default=0.1, help="heuristic o(1) term (default 0.1)")
 
     p = sub.add_parser("bt-check", help="Brun-Titchmarsh checks across residues")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--a", type=int)
+    p.add_argument("--slack", type=float, default=0.1, help="heuristic o(1) term (default 0.1)")
 
     p = sub.add_parser("bqf", help="binary quadratic form counting report")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--form", type=str, required=True, help="a,b,c")
+    p.add_argument("--checkpoints", type=_parse_checkpoints, help="x1,x2,... (default x)")
 
     p = sub.add_parser("chebotarev", help="Frobenius class counts")
     p.add_argument("--d", type=int, help="squarefree d for a quadratic field")
@@ -391,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--disc", type=int, help="imaginary quadratic discriminant")
     p.add_argument("--x", type=float, required=True)
+    p.add_argument("--checkpoints", type=_parse_checkpoints, help="x1,x2,... (default x)")
     return parser
 
 
@@ -399,11 +399,10 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> set
     parser tree and return the destination of every flag in it.
 
     Values stay strings, which argparse converts with each flag's own
-    ``type``; a store_true flag takes ``true`` or ``false``.  Subparsers
-    parse into a fresh namespace, so each of them gets the defaults, and
-    config-supplied values satisfy otherwise-required flags.  The shared
-    flags' after-the-subcommand copies keep SUPPRESS, so a shared flag
-    given before the subcommand still beats the config.
+    ``type``; a store_true flag takes ``true`` or ``false``, and a flag
+    with choices takes one of them.  Subparsers parse into a fresh
+    namespace, so each of them gets the defaults, and config-supplied
+    values satisfy otherwise-required flags.
     """
     dests = set()
     for action in parser._actions:
@@ -412,7 +411,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> set
                 dests |= _apply_config_defaults(sub, values)
             continue
         dests.add(action.dest)
-        if action.dest not in values or action.default is argparse.SUPPRESS:
+        if action.dest not in values:
             continue
         value = values[action.dest]
         if action.nargs == 0:
@@ -420,6 +419,9 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> set
                 raise DomainError(f"config key {action.dest!r} takes true or false, "
                                   f"not {value!r}")
             value = value.lower() == "true"
+        elif action.choices is not None and value not in action.choices:
+            raise DomainError(f"config key {action.dest!r} takes one of "
+                              f"{', '.join(action.choices)}, not {value!r}")
         action.default = value
         action.required = False
     return dests
@@ -428,22 +430,20 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> set
 def run(argv: list[str]) -> tuple[int, str]:
     """Execute one invocation; returns (exit_code, report_text)."""
     parser = build_parser()
-    # pre-scan for --config so its values become defaults
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    cfg_path = pre.parse_known_args(argv)[0].config
+    # --config and --format leave argv first, so they may stand anywhere in it
+    given, rest = _global_flags().parse_known_args(argv)
     try:
-        if cfg_path is not None:
-            overrides = _read_config(cfg_path)
+        if given.config is not None:
+            overrides = _read_config(given.config)
             known = _apply_config_defaults(parser, overrides) - {"help", "config"}
             unknown = set(overrides) - known
             if unknown:
                 raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        args = parser.parse_args(argv)
-        args.checkpoints = _parse_checkpoints(args.checkpoints)
+        args = parser.parse_args(rest)
         rows = _HANDLERS[args.command](args)
-        return 0, emit(rows, args.format, {"command": args.command})
-    except (DomainError, CapacityError, ValueError) as exc:
+        # a --format flag beats the config's format, which beats json
+        return 0, emit(rows, given.format or args.format or "json", {"command": args.command})
+    except (DomainError, CapacityError, ValueError, OSError) as exc:
         return 2, f"error: {exc}"
 
 

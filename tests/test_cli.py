@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -165,6 +166,112 @@ def test_trailing_config_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["pi-ap", "--q", "4", "--a", "1", "--x", "100", "--config"])
     assert exc.value.code == 2
+
+
+def test_missing_files_exit_2(tmp_path):
+    missing = str(tmp_path / "missing")
+    for argv in (["--config", missing, "pi-ap", "--q", "4", "--a", "1", "--x", "100"],
+                 ["lang-trotter", "--curves-file", missing, "--mode", "trace", "--x", "500"]):
+        code, text = run(argv)
+        assert code == 2
+        assert text.startswith("error: ") and "missing" in text
+
+
+def test_config_values_take_the_flag_choices(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, argv in (("format = xml\n", ["pi-ap", "--q", "4", "--a", "1", "--x", "100"]),
+                       ("mode = foo\n", ["lang-trotter", "--curve", "1,1", "--x", "500"])):
+        cfg.write_text(text)
+        code, out = run(["--config", str(cfg), *argv])
+        assert code == 2
+        assert "takes one of" in out
+
+
+def test_config_serves_several_subcommands(tmp_path):
+    # a key belongs to every subcommand that has its flag; the others ignore it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("slack = 0.5\ncheckpoints = 500,1000\n")
+    pi_argv = ["pi-ap", "--q", "4", "--a", "1", "--x", "1000"]
+    bqf_argv = ["bqf", "--D", "4", "--x", "1000", "--form", "1,0,1"]
+    for argv, flags in ((pi_argv, ["--slack", "0.5"]),
+                        (bqf_argv, ["--checkpoints", "500,1000"])):
+        from_config = run(["--config", str(cfg), *argv])
+        assert from_config[0] == 0
+        assert from_config == run([*argv, *flags]) != run(argv)
+
+
+# subcommand flags with a sample value, and the subcommands that read each
+_MOVED_FLAGS = {
+    ("--checkpoints", "500"): {"bqf", "lang-trotter"},
+    ("--delta0", "0.01"): {"bounds"},
+    ("--eta", "0.1"): {"bounds"},
+    ("--c1", "2"): {"bounds"},
+    ("--slack", "0.2"): {"pi-ap", "bt-check"},
+}
+
+
+def test_flags_belong_to_their_subcommands(capsys):
+    foreign = [(cmd, flag) for flag, readers in _MOVED_FLAGS.items()
+               for cmd in SUBCOMMANDS if cmd not in readers]
+    assert len(foreign) == 33
+    for cmd, flag in foreign:
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, *SAMPLES[cmd], *flag])
+        assert exc.value.code == 2, (cmd, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for flag, readers in _MOVED_FLAGS.items():
+        for cmd in readers:
+            assert run([cmd, *SAMPLES[cmd], *flag])[0] == 0, (cmd, flag)
+    # the global flags are not abbreviated, so --form stays bqf's
+    with pytest.raises(SystemExit):
+        run(["pi-ap", *SAMPLES["pi-ap"], "--form", "csv"])
+
+
+def test_help_lists_the_flags_each_parser_reads(capsys):
+    for argv, listed, absent in ((["-h"], ["--format", "--config"], ["--slack"]),
+                                 (["pi-ap", "-h"], ["--slack"], ["--checkpoints"])):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in listed) and not any(f in out for f in absent)
+
+
+def test_chebotarev_needs_exactly_one_field(tmp_path):
+    base = ["chebotarev", "--class", "1", "--x", "1000"]
+    for fields in ([], ["--d", "-1", "--cyclotomic", "5"]):
+        code, text = run([*base, *fields])
+        assert code == 2
+        assert "exactly one of --d and --cyclotomic" in text
+    # a config value counts as given
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cyclotomic = 5\n")
+    assert run(["--config", str(cfg), *base]) == run([*base, "--cyclotomic", "5"])
+
+
+def test_lang_trotter_input_checks(tmp_path):
+    curves = tmp_path / "curves.txt"
+    curves.write_text("1 1\n")
+    base = ["lang-trotter", "--x", "500"]
+    for argv, message in (
+            (["--mode", "trace"], "exactly one of --curve and --curves-file"),
+            (["--mode", "trace", "--curve", "1,1", "--curves-file", str(curves)],
+             "exactly one of --curve and --curves-file"),
+            (["--mode", "field", "--curve", "1,1"], "--mode field needs --disc")):
+        code, text = run([*base, *argv])
+        assert code == 2
+        assert message in text
+
+
+def test_readme_cli_examples_run():
+    # every command line in README's CLI block must keep working
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("chebkit ")]
+    assert len(lines) >= 5
+    for line in lines:
+        code, text = run(shlex.split(line)[1:])
+        assert code == 0, (line, text)
 
 
 def test_chebotarev_partial_sum_is_exact():
