@@ -15,8 +15,8 @@ Reports are emitted as JSON (default) or CSV with a header row; floats are
 printed with 12 significant digits so repeated runs diff cleanly.  A flat
 ``key = value`` config file supplies defaults which flags override.  Only
 ``--format`` and ``--config`` may stand anywhere; every other flag belongs
-to its subcommand.  Exit status is 0 on success and 2 on a usage or domain
-error.
+to its subcommand, and one the run would not read is a usage error.  Exit
+status is 0 on success and 2 on a usage or domain error.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ def _parse_checkpoints(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _given(**kw) -> dict:
+    # the keywords a run was given; the others keep the library's defaults
+    return {k: v for k, v in kw.items() if v is not None}
+
+
 def _read_config(path: str) -> dict:
     values: dict[str, str] = {}
     with open(path) as fh:
@@ -91,6 +96,8 @@ def _read_config(path: str) -> dict:
 
 
 def _cmd_weights_verify(args) -> list[dict]:
+    if args.samples < 0:
+        raise DomainError("--samples must be >= 0")
     spec = WeightSpec(x=args.x, ell=args.ell, eps=args.eps)
     rng = np.random.default_rng(args.seed)
     at_zero = laplace_transform(spec, 0).real
@@ -104,23 +111,23 @@ def _cmd_weights_verify(args) -> list[dict]:
     for _ in range(args.samples):
         sigma = float(10.0 ** rng.uniform(-2, 0.7))
         t = float(rng.uniform(-50, 50))
-        alpha = float(rng.uniform(0, spec.ell))
-        r = check_decay_bound(spec, complex(sigma, t), alpha)
-        rows.append({"check": "halfplane-decay", "s_re": sigma, "s_im": t,
-                     "alpha": alpha, "lhs": r.lhs, "rhs": r.rhs, "passed": r.passed})
-        g = check_growth_bound(spec, complex(sigma, t))
-        rows.append({"check": "growth", "s_re": sigma, "s_im": t, "alpha": 0.0,
-                     "lhs": g.lhs, "rhs": g.rhs, "passed": g.passed})
-        v = check_real_axis_bound(spec, sigma)
-        rows.append({"check": "real-axis", "s_re": sigma, "s_im": 0.0, "alpha": 0.0,
-                     "lhs": v.lhs, "rhs": v.rhs, "passed": v.passed})
-        w = check_left_line_bound(spec, t)
-        rows.append({"check": "left-line", "s_re": -0.5, "s_im": t, "alpha": float(spec.ell),
-                     "lhs": w.lhs, "rhs": w.rhs, "passed": w.passed})
+        alpha, s = float(rng.uniform(0, spec.ell)), complex(sigma, t)
+        for check, at, a, r in (
+                ("halfplane-decay", s, alpha, check_decay_bound(spec, s, alpha)),
+                ("growth", s, 0.0, check_growth_bound(spec, s)),
+                ("real-axis", complex(sigma), 0.0, check_real_axis_bound(spec, sigma)),
+                ("left-line", complex(-0.5, t), float(spec.ell), check_left_line_bound(spec, t))):
+            rows.append({"check": check, "s_re": at.real, "s_im": at.imag, "alpha": a,
+                         "lhs": r.lhs, "rhs": r.rhs, "passed": r.passed})
     return rows
 
 
 def _cmd_bounds(args) -> list[dict]:
+    # a calculator's flag is read only when one of the flags it needs is given
+    for flag, needs in (("sigma", "t_height"), ("beta1", "t_height"), ("eta", "lambda1"),
+                        ("t_height", "sigma beta1"), ("c1", "beta1"), ("clamp", "lam")):
+        if getattr(args, flag) is not None and all(getattr(args, n) is None for n in needs.split()):
+            raise DomainError(f"--{flag} needs --{' or --'.join(needs.split())}".replace("_", "-"))
     inv = bounds_mod.FieldInvariants(
         n_K=args.n_k, D_K=args.d_k, Q=args.q_max,
         degree_LK=args.degree_lk,
@@ -138,46 +145,47 @@ def _cmd_bounds(args) -> list[dict]:
         "range_compact_log": ranges.compact.log,
         "extension_complexity": ranges.complexity,
     }
-    if args.sigma is not None and args.t_height is not None:
+    if args.sigma is not None:
         row["density_bound_log"] = bounds_mod.density_bound(
             inv, args.sigma, args.t_height, constant=args.constant).log
     if args.lam is not None:
         row["low_lying_bound_log"] = bounds_mod.low_lying_density_bound(
-            args.lam, clamp=args.clamp).log
+            args.lam, **_given(clamp=args.clamp)).log
     if args.lambda1 is not None:
-        row["repulsion_threshold"] = bounds_mod.repulsion_threshold(args.lambda1, args.eta)
-    if args.beta1 is not None and args.t_height is not None:
+        row["repulsion_threshold"] = bounds_mod.repulsion_threshold(
+            args.lambda1, **_given(eta=args.eta))
+    if args.beta1 is not None:
         row["exclusion_boundary"] = bounds_mod.deuring_heilbronn_exclusion(
-            inv, args.beta1, args.t_height, c1=args.c1)
+            inv, args.beta1, args.t_height, **_given(c1=args.c1))
     if args.theta is not None:
         row["bt_constant"] = bounds_mod.brun_titchmarsh_constant(args.theta)
     return [row]
 
 
+def _bt_row(query: ap.APQuery, slack: float | None) -> dict:
+    """One progression's count and both Brun-Titchmarsh checks."""
+    mv = ap.montgomery_vaughan_check(query)
+    my = ap.maynard_check(query, **_given(slack=slack))
+    return {"q": query.q, "a": query.a, "x": query.x, "count": mv.lhs,
+            "mv_bound": mv.rhs, "mv_passed": mv.passed, "piecewise_bound": my.rhs,
+            "piecewise_passed": my.passed, "heuristic": my.heuristic}
+
+
 def _cmd_pi_ap(args) -> list[dict]:
     query = ap.APQuery(q=args.q, a=args.a, x=args.x)
-    row = {"q": args.q, "a": args.a, "x": args.x, "count": ap.pi_ap(query)}
     if args.q >= 2 and args.x > args.q:
-        mv = ap.montgomery_vaughan_check(query)
-        row.update(mv_bound=mv.rhs, mv_passed=mv.passed)
-        my = ap.maynard_check(query, slack=args.slack)
-        row.update(piecewise_bound=my.rhs, piecewise_passed=my.passed, heuristic=my.heuristic)
-    return [row]
+        row = _bt_row(query, args.slack)
+        return [{**row, "count": int(row["count"])}]  # pi-ap's count is an integer
+    if args.slack is not None:
+        raise DomainError("--slack needs a check to run: --q >= 2 and --x > --q")
+    return [{"q": args.q, "a": args.a, "x": args.x, "count": ap.pi_ap(query)}]
 
 
 def _cmd_bt_check(args) -> list[dict]:
-    rows = []
-    residues = ([args.a] if args.a is not None else
-                [a for a in range(1, args.q) if math.gcd(a, args.q) == 1])
-    for a in residues:
-        query = ap.APQuery(q=args.q, a=a, x=args.x)
-        mv = ap.montgomery_vaughan_check(query)
-        my = ap.maynard_check(query, slack=args.slack)
-        rows.append({"q": args.q, "a": a, "x": args.x, "count": mv.lhs,
-                     "mv_bound": mv.rhs, "mv_passed": mv.passed,
-                     "piecewise_bound": my.rhs, "piecewise_passed": my.passed,
-                     "heuristic": my.heuristic})
-    return rows
+    if args.q < 2:
+        raise DomainError("bt-check needs --q >= 2")
+    return [_bt_row(ap.APQuery(q=args.q, a=a, x=args.x), args.slack)
+            for a in range(1, args.q) if math.gcd(a, args.q) == 1]
 
 
 def _cmd_bqf(args) -> list[dict]:
@@ -206,15 +214,12 @@ def _cmd_chebotarev(args) -> list[dict]:
     ext, cls = _make_extension(args)
     report = cheb.density_ratio_report(ext, cls, args.x)
     chain = cheb.counting_chain_check(ext, cls, args.x0, args.x)
-    est = cheb.theta_partial_sum(ext, cls, args.x0, args.x)
     return [{
         "kind": ext.kind, "class": str(cls.key), "x": args.x,
-        "count": report.count,
-        "expected": report.expected,
-        "ratio": report.ratio,
+        "count": report.count, "expected": report.expected, "ratio": report.ratio,
         "psi": cheb.psi_class(ext, cls, args.x),
         "theta": cheb.theta_class(ext, cls, args.x),
-        "partial_sum_estimate": est,
+        "partial_sum_estimate": cheb.theta_partial_sum(ext, cls, args.x0, args.x),
         "chain_lhs": chain.lhs, "chain_rhs": chain.rhs, "chain_passed": chain.passed,
         "range_threshold_log": report.threshold.log,
         "in_proven_range": report.in_proven_range,
@@ -223,8 +228,12 @@ def _cmd_chebotarev(args) -> list[dict]:
 
 def _cmd_mellin_check(args) -> list[dict]:
     spec = WeightSpec(x=args.x, ell=args.ell, eps=args.eps)
+    if args.residue is not None and (args.q == 1 or args.char_index is not None):
+        raise DomainError("--residue needs --q >= 2 and no --char-index")
+    if args.n_max is not None and args.n_max < 2:
+        raise DomainError("--n-max must be >= 2: no prime power lies below 2")
     cap = explicit.support_cap(spec)
-    n_max = args.n_max or cap
+    n_max = cap if args.n_max is None else args.n_max
     if args.char_index is not None:
         # single-character series: the direct side is the complex sum over
         # the whole support, whatever n_max truncates the contour's series to
@@ -236,7 +245,8 @@ def _cmd_mellin_check(args) -> list[dict]:
         series = explicit.zeta_log_deriv(n_max)
         direct = cheb.weighted_prime_sum(cheb.trivial_extension(), cheb.ConjClass(cheb.FULL), spec)
     else:
-        ext, cls = cheb.cyclotomic_field(args.q), cheb.ConjClass(args.residue)
+        ext, cls = cheb.cyclotomic_field(args.q), cheb.ConjClass(
+            1 if args.residue is None else args.residue)
         series = explicit.class_log_deriv(ext, cls, n_max)
         direct = cheb.weighted_prime_sum(ext, cls, spec)
     res = explicit.contour_sum(series, spec, t_max=args.t_max)
@@ -262,8 +272,9 @@ def _cmd_mellin_check(args) -> list[dict]:
 def _cmd_lang_trotter(args) -> list[dict]:
     if (args.curve is None) == (args.curves_file is None):
         raise DomainError("need exactly one of --curve and --curves-file")
-    if args.mode == "field" and args.disc is None:
-        raise DomainError("--mode field needs --disc")
+    if args.a is not None and args.disc is not None:
+        raise DomainError("--a counts traces and --disc Frobenius fields: give one")
+    mode = "trace" if args.disc is None else "field"
     if args.curves_file is not None:
         curves = elliptic.read_curves(args.curves_file)
     else:
@@ -272,19 +283,17 @@ def _cmd_lang_trotter(args) -> list[dict]:
     checkpoints = args.checkpoints or [args.x]
     rows = []
     for curve in curves:
-        if args.mode == "trace":
-            series = elliptic.trace_match_count(curve, args.a, int(args.x), checkpoints)
+        if args.disc is None:
+            series = elliptic.trace_match_count(curve, args.a or 0, int(args.x), checkpoints)
         else:
             series = elliptic.frobenius_field_count(curve, args.disc, int(args.x), checkpoints)
-        shape = elliptic.growth_shape_report(series, args.mode)
+        shape = elliptic.growth_shape_report(series, mode)
         for i, x_cp in enumerate(series.checkpoints):
-            rows.append({
-                "curve": f"{curve.A},{curve.B}", "mode": args.mode,
-                "x": float(x_cp), "count": int(series.counts[i]),
-                "theorem_ratio": float(shape.theorem_ratio[i]),
-                "conjecture_ratio": float(shape.conjecture_ratio[i]),
-                "cm_flagged": curve.has_cm,
-            })
+            rows.append({"curve": f"{curve.A},{curve.B}", "mode": mode, "x": float(x_cp),
+                         "count": int(series.counts[i]),
+                         "theorem_ratio": float(shape.theorem_ratio[i]),
+                         "conjecture_ratio": float(shape.conjecture_ratio[i]),
+                         "cm_flagged": curve.has_cm})
     return rows
 
 
@@ -325,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100, help="sample points, >= 0 (default 100)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bounds", help="evaluate the analytic bound calculators")
@@ -335,28 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-lk", type=int, default=1)
     p.add_argument("--ramified", type=str, default="")
     p.add_argument("--constant", type=float, default=1.0)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--t-height", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--clamp", action="store_true")
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--sigma", type=float, help="zero-density bound at sigma; needs --t-height")
+    p.add_argument("--t-height", type=float, help="height T; needs --sigma or --beta1")
+    p.add_argument("--lam", type=float, help="low-lying zero count within lam")
+    p.add_argument("--clamp", action="store_true", default=None, help="cap the count; needs --lam")
+    p.add_argument("--lambda1", type=float, help="repulsion threshold at lambda1")
+    p.add_argument("--beta1", type=float, help="exclusion boundary; needs --t-height")
+    p.add_argument("--theta", type=float, help="Brun-Titchmarsh constant at theta")
     p.add_argument("--delta0", type=float, default=1e-3, help="complexity offset (default 1e-3)")
-    p.add_argument("--eta", type=float, default=1e-2, help="low-lying window (default 1e-2)")
-    p.add_argument("--c1", type=float, default=1.0, help="exclusion constant (default 1)")
+    p.add_argument("--eta", type=float, help="low-lying window; needs --lambda1")
+    p.add_argument("--c1", type=float, help="exclusion constant; needs --beta1")
 
     p = sub.add_parser("pi-ap", help="count primes in one progression")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--slack", type=float, default=0.1, help="heuristic o(1) term (default 0.1)")
+    p.add_argument("--slack", type=float, help="heuristic o(1) term; needs q >= 2 and x > q")
 
-    p = sub.add_parser("bt-check", help="Brun-Titchmarsh checks across residues")
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("bt-check", help="Brun-Titchmarsh checks at every unit residue")
+    p.add_argument("--q", type=int, required=True, help="modulus, at least 2")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--a", type=int)
-    p.add_argument("--slack", type=float, default=0.1, help="heuristic o(1) term (default 0.1)")
+    p.add_argument("--slack", type=float, help="heuristic o(1) term")
 
     p = sub.add_parser("bqf", help="binary quadratic form counting report")
     p.add_argument("--D", type=int, required=True)
@@ -374,21 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mellin-check", help="contour vs direct smoothed sum")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--residue", type=int, default=1)
+    p.add_argument("--residue", type=int, help="class mod q >= 2 (default 1)")
     p.add_argument("--char-index", type=int,
                    help="check one character's series instead of a class")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=500.0)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int, help="series cutoff, at least 2 (default: the support)")
 
     p = sub.add_parser("lang-trotter", help="trace / Frobenius-field counting")
     p.add_argument("--curve", type=str, help="A,B")
     p.add_argument("--curves-file", type=str)
-    p.add_argument("--mode", choices=("trace", "field"), required=True)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--disc", type=int, help="imaginary quadratic discriminant")
+    p.add_argument("--a", type=int, help="trace mode: count the primes with a_p = a (default 0)")
+    p.add_argument("--disc", type=int, help="field mode: the Frobenius-field discriminant to count")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--checkpoints", type=_parse_checkpoints, help="x1,x2,... (default x)")
     return parser

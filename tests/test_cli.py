@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -171,7 +172,7 @@ def test_trailing_config_is_a_usage_error():
 def test_missing_files_exit_2(tmp_path):
     missing = str(tmp_path / "missing")
     for argv in (["--config", missing, "pi-ap", "--q", "4", "--a", "1", "--x", "100"],
-                 ["lang-trotter", "--curves-file", missing, "--mode", "trace", "--x", "500"]):
+                 ["lang-trotter", "--curves-file", missing, "--x", "500"]):
         code, text = run(argv)
         assert code == 2
         assert text.startswith("error: ") and "missing" in text
@@ -184,7 +185,8 @@ def test_config_values_take_the_flag_choices(tmp_path):
         cfg.write_text(text)
         code, out = run(["--config", str(cfg), *argv])
         assert code == 2
-        assert "takes one of" in out
+        # lang-trotter's mode follows from --disc, so no flag takes mode
+        assert ("takes one of" if text.startswith("format") else "unknown config keys") in out
 
 
 def test_config_serves_several_subcommands(tmp_path):
@@ -254,10 +256,10 @@ def test_lang_trotter_input_checks(tmp_path):
     curves.write_text("1 1\n")
     base = ["lang-trotter", "--x", "500"]
     for argv, message in (
-            (["--mode", "trace"], "exactly one of --curve and --curves-file"),
-            (["--mode", "trace", "--curve", "1,1", "--curves-file", str(curves)],
+            ([], "exactly one of --curve and --curves-file"),
+            (["--curve", "1,1", "--curves-file", str(curves)],
              "exactly one of --curve and --curves-file"),
-            (["--mode", "field", "--curve", "1,1"], "--mode field needs --disc")):
+            (["--curve", "1,1", "--a", "5", "--disc", "-3"], "--a counts traces and --disc")):
         code, text = run([*base, *argv])
         assert code == 2
         assert message in text
@@ -288,8 +290,7 @@ def test_chebotarev_partial_sum_is_exact():
 
 @pytest.mark.parametrize("argv", [
     ["bqf", "--D", "4", "--x", "1000", "--form", "1,0,1", "--checkpoints", "500,1000,2000"],
-    ["lang-trotter", "--curve", "1,1", "--mode", "trace", "--x", "1000",
-     "--checkpoints", "500,5000"],
+    ["lang-trotter", "--curve", "1,1", "--x", "1000", "--checkpoints", "500,5000"],
 ])
 def test_checkpoint_past_x_is_refused(argv):
     # the counts stop at --x, so a later checkpoint would read the count at x
@@ -331,15 +332,15 @@ def test_console_entry_point():
 def test_curves_file_input(tmp_path):
     path = tmp_path / "curves.txt"
     path.write_text("1 1 demo\n-1 1\n")
-    code, text = run(["lang-trotter", "--curves-file", str(path), "--mode",
-                      "trace", "--a", "0", "--x", "500", "--format", "csv"])
+    code, text = run(["lang-trotter", "--curves-file", str(path), "--a", "0",
+                      "--x", "500", "--format", "csv"])
     assert code == 0
     assert len(text.splitlines()) == 3  # header + one row per curve
 
 
 def test_lang_trotter_flags_cm_from_the_j_invariant():
     for curve, flagged in (("0,1", True), ("1,1", False)):
-        code, text = run(["lang-trotter", "--curve", curve, "--mode", "trace", "--x", "500"])
+        code, text = run(["lang-trotter", "--curve", curve, "--x", "500"])
         assert code == 0
         assert json.loads(text)["cm_flagged"] is flagged
 
@@ -347,7 +348,7 @@ def test_lang_trotter_flags_cm_from_the_j_invariant():
 def test_memory_budget_enforced():
     # the sieve's fixed 2^33 guard refuses x = 1e10 before any table is built
     for argv in (["pi-ap", "--q", "4", "--a", "1"],
-                 ["lang-trotter", "--curve", "1,1", "--mode", "trace"]):
+                 ["lang-trotter", "--curve", "1,1"]):
         code, text = run([*argv, "--x", "1e10"])
         assert code == 2
         assert "exceeds memory budget 8589934592" in text
@@ -368,8 +369,7 @@ SAMPLES = {
     "bqf": ["--D", "4", "--x", "1000", "--form", "1,0,1"],
     "chebotarev": ["--cyclotomic", "5", "--class", "2", "--x", "1000"],
     "mellin-check": ["--q", "1", "--x", "50", "--ell", "2", "--t-max", "50"],
-    "lang-trotter": ["--curve", "1,1", "--mode", "trace", "--a", "0",
-                     "--x", "500"],
+    "lang-trotter": ["--curve", "1,1", "--a", "0", "--x", "500"],
 }
 
 
@@ -427,8 +427,8 @@ def test_operation_coverage_table(tmp_path):
     invocations = [[cmd, *argv] for cmd, argv in SAMPLES.items()] + [
         ["mellin-check", "--q", "5", "--residue", "2", "--x", "50", "--t-max", "50"],
         ["mellin-check", "--q", "5", "--char-index", "1", "--x", "50", "--t-max", "50"],
-        ["lang-trotter", "--curve", "1,1", "--mode", "field", "--disc", "-3", "--x", "500"],
-        ["lang-trotter", "--curves-file", str(curves), "--mode", "trace", "--x", "500"],
+        ["lang-trotter", "--curve", "1,1", "--disc", "-3", "--x", "500"],
+        ["lang-trotter", "--curves-file", str(curves), "--x", "500"],
     ]
     src = str(Path(chebotarev.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -441,3 +441,146 @@ def test_operation_coverage_table(tmp_path):
     missing = {op.__name__ for op in required
                if (op.__code__.co_filename, op.__code__.co_firstlineno) not in called}
     assert not missing, f"operations unreachable from the CLI: {missing}"
+
+
+# each mode of each subcommand: its argv, and every flag the subcommand
+# accepts with a sample value chosen so that it matters in that mode
+_SUBCOMMAND_FLAGS = {
+    "weights-verify": {"--x": "200", "--ell": "3", "--eps": "0.2", "--samples": "6",
+                       "--seed": "1"},
+    "bounds": {"--n-k": "2", "--d-k": "7", "--q-max": "9", "--degree-lk": "2",
+               "--ramified": "2", "--constant": "2", "--sigma": "0.6", "--t-height": "2",
+               "--lam": "0.2", "--clamp": None, "--lambda1": "0.06", "--beta1": "0.998",
+               "--theta": "0.4", "--delta0": "0.01", "--eta": "0.1", "--c1": "2"},
+    "pi-ap": {"--q": "5", "--a": "2", "--x": "2000", "--slack": "0.5"},
+    "bt-check": {"--q": "10", "--x": "2000", "--slack": "0.5"},
+    "bqf": {"--D": "4", "--x": "2000", "--form": "2,2,3", "--checkpoints": "500"},
+    "chebotarev": {"--d": "-5", "--cyclotomic": "7", "--class": "3", "--x": "2000",
+                   "--x0": "20"},
+    "mellin-check": {"--q": "7", "--residue": "3", "--char-index": "0", "--x": "60",
+                     "--ell": "3", "--eps": "0.2", "--t-max": "60", "--n-max": "40"},
+    "lang-trotter": {"--curve": "2,3", "--curves-file": "CURVES", "--a": "5",
+                     "--disc": "-7", "--x": "600", "--checkpoints": "250"},
+}
+_MODES = {
+    ("weights-verify", "sampled"): ["--x", "100", "--ell", "2", "--eps", "0.1",
+                                    "--samples", "5"],
+    ("bounds", "invariants only"): ["--n-k", "1", "--d-k", "1", "--q-max", "5"],
+    ("bounds", "every calculator"): SAMPLES["bounds"],
+    ("pi-ap", "checked"): ["--q", "7", "--a", "3", "--x", "1000"],
+    ("pi-ap", "count only"): ["--q", "7", "--a", "3", "--x", "7"],
+    ("bt-check", "every residue"): ["--q", "12", "--x", "10000"],
+    ("bqf", "one form"): ["--D", "20", "--x", "1000", "--form", "1,0,5"],
+    ("chebotarev", "quadratic"): ["--d", "-1", "--class", "split", "--x", "1000"],
+    ("chebotarev", "cyclotomic"): ["--cyclotomic", "5", "--class", "2", "--x", "1000"],
+    ("mellin-check", "zeta"): ["--q", "1", "--x", "50", "--t-max", "50"],
+    ("mellin-check", "class"): ["--q", "5", "--residue", "2", "--x", "50", "--t-max", "50"],
+    ("mellin-check", "character"): ["--q", "5", "--char-index", "1", "--x", "50",
+                                    "--t-max", "50"],
+    ("lang-trotter", "trace"): ["--curve", "1,1", "--x", "500"],
+    ("lang-trotter", "field"): ["--curve", "1,1", "--disc", "-3", "--x", "500"],
+}
+# where one mode takes another sample value than the subcommand's others
+_MODE_VALUES = {("chebotarev", "quadratic"): {"--class": "inert"}}
+# the (subcommand, mode, flag) triples that exit 2: a flag the run would not
+# read, or one that contradicts another
+_REFUSED = {
+    ("bounds", "invariants only", flag)
+    for flag in ("--sigma", "--t-height", "--clamp", "--beta1", "--eta", "--c1")
+} | {
+    ("pi-ap", "count only", "--slack"),
+    ("bqf", "one form", "--D"),
+    ("chebotarev", "quadratic", "--cyclotomic"),
+    ("chebotarev", "cyclotomic", "--d"),
+    ("mellin-check", "zeta", "--residue"),
+    ("mellin-check", "class", "--char-index"),
+    ("mellin-check", "character", "--residue"),
+    ("lang-trotter", "trace", "--curves-file"),
+    ("lang-trotter", "field", "--curves-file"),
+    ("lang-trotter", "field", "--a"),
+}
+
+
+def _subcommand_flags(cmd):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[cmd]
+    return {opt: action.dest for action in sub._actions for opt in action.option_strings
+            if opt != "-h" and opt != "--help"}
+
+
+def test_every_flag_of_every_mode_changes_the_report_or_exits_2(tmp_path):
+    curves = tmp_path / "curves.txt"
+    curves.write_text("1 1\n")
+    cfg = tmp_path / "run.cfg"
+    assert {cmd for cmd, _ in _MODES} == set(SUBCOMMANDS)
+    for (cmd, mode), argv in _MODES.items():
+        dests = _subcommand_flags(cmd)
+        assert set(dests) == set(_SUBCOMMAND_FLAGS[cmd]), cmd
+        base = run([cmd, *argv])
+        assert base[0] == 0, (cmd, mode, base)
+        values = {**_SUBCOMMAND_FLAGS[cmd], **_MODE_VALUES.get((cmd, mode), {})}
+        for flag, value in values.items():
+            value = str(curves) if value == "CURVES" else value
+            code, text = run([cmd, *argv, flag, *([] if value is None else [value])])
+            triple = (cmd, mode, flag)
+            if triple in _REFUSED:
+                assert code == 2 and flag in text, (triple, text)
+                if flag not in argv:  # a config value counts as given
+                    cfg.write_text(f"{dests[flag]} = {'true' if value is None else value}\n")
+                    assert run(["--config", str(cfg), cmd, *argv]) == (code, text), triple
+            else:
+                assert code == 0 and text != base[1], (triple, text)
+    assert {(c, m) for c, m, _ in _REFUSED} <= set(_MODES)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--sigma", "0.5"], "--sigma needs --t-height"),
+    (["--beta1", "0.999"], "--beta1 needs --t-height"),
+    (["--t-height", "1"], "--t-height needs --sigma or --beta1"),
+    (["--eta", "0.1"], "--eta needs --lambda1"),
+    (["--c1", "2"], "--c1 needs --beta1"),
+    (["--clamp"], "--clamp needs --lam"),
+])
+def test_bounds_refuses_a_flag_whose_calculator_does_not_run(flags, message):
+    code, text = run(["bounds", "--n-k", "1", "--d-k", "1", "--q-max", "5", *flags])
+    assert code == 2 and message in text
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["bt-check", "--q", "1", "--x", "100"], "--q"),
+    (["bt-check", "--q", "0", "--x", "100"], "--q"),
+    (["mellin-check", "--q", "1", "--x", "300", "--residue", "3"], "--residue"),
+    (["mellin-check", "--q", "5", "--char-index", "1", "--residue", "3", "--x", "300"],
+     "--residue"),
+    (["pi-ap", "--q", "1", "--a", "0", "--x", "100", "--slack", "5"], "--slack"),
+    (["pi-ap", "--q", "7", "--a", "3", "--x", "7", "--slack", "5"], "--slack"),
+    (["mellin-check", "--q", "1", "--x", "50", "--t-max", "50", "--n-max", "0"], "--n-max"),
+    (["mellin-check", "--q", "1", "--x", "50", "--t-max", "50", "--n-max", "-5"], "--n-max"),
+    (["weights-verify", "--x", "100", "--ell", "2", "--eps", "0.1", "--samples", "-3"],
+     "--samples"),
+    (["lang-trotter", "--curve", "1,1", "--x", "500", "--a", "5", "--disc", "-3"], "--a"),
+])
+def test_a_flag_the_run_cannot_read_exits_2(argv, flag):
+    code, text = run(argv)
+    assert code == 2 and flag in text
+
+
+def test_smallest_counts_still_run():
+    # two is the least n_max with a prime power, zero samples the least sample
+    for argv in (["mellin-check", "--q", "1", "--x", "50", "--t-max", "50", "--n-max", "2"],
+                 ["weights-verify", "--x", "100", "--ell", "2", "--eps", "0.1",
+                  "--samples", "0"]):
+        assert run(argv)[0] == 0, argv
+
+
+def test_mellin_check_residue_defaults_to_one():
+    base = ["mellin-check", "--q", "5", "--x", "50", "--t-max", "50"]
+    assert run(base) == run([*base, "--residue", "1"])
+
+
+def test_pi_ap_and_bt_check_share_their_rows():
+    # one residue's bt-check row is pi-ap's row; only the count's type differs
+    pi_row = json.loads(run(["pi-ap", "--q", "12", "--a", "5", "--x", "10000"])[1])["rows"][0]
+    bt_rows = json.loads(run(["bt-check", "--q", "12", "--x", "10000"])[1])["rows"]
+    assert isinstance(pi_row["count"], int) and isinstance(bt_rows[1]["count"], float)
+    assert pi_row == bt_rows[1]

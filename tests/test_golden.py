@@ -25,8 +25,7 @@ CASES = {
     "chebotarev": ["chebotarev", "--cyclotomic", "5", "--class", "2", "--x", "1000"],
     "mellin-check": ["mellin-check", "--q", "1", "--x", "50", "--ell", "2",
                      "--t-max", "50"],
-    "lang-trotter": ["lang-trotter", "--curve", "1,1", "--mode", "trace", "--a", "0",
-                     "--x", "500"],
+    "lang-trotter": ["lang-trotter", "--curve", "1,1", "--a", "0", "--x", "500"],
     "pi-ap-1e7": ["pi-ap", "--q", "7", "--a", "3", "--x", "1e7"],
     "bt-check-1e7": ["bt-check", "--q", "17", "--x", "1e7"],
     "bqf-1e6": ["bqf", "--D", "23", "--x", "1e6", "--form", "2,1,3"],
