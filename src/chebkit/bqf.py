@@ -10,9 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .arith import factorize, kronecker
+from .errors import CapacityError, DomainError
 from .reports import PowerValue
 from .sieve import CountSeries, li, primes_upto
+
+# the D with h(-D) = 1: the fundamental ones (Heegner-Baker-Stark) and the
+# orders of discriminant -12, -16, -27 and -28
+_CLASS_NUMBER_ONE = frozenset((3, 4, 7, 8, 11, 12, 16, 19, 27, 28, 43, 67, 163))
+_TABLE_BYTES = 2**30          # represented_values' bool table holds x + 1 entries
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,8 @@ def represented_values(form: ReducedForm, x: int) -> np.ndarray:
     """Boolean table: index v is True iff v = Q(m, n) for some integers."""
     if x < 0:
         raise DomainError("x must be nonnegative")
+    if x + 1 > _TABLE_BYTES:
+        raise CapacityError(f"{x + 1} represented values exceed the {_TABLE_BYTES}-byte table")
     a, b, c, D = form.a, form.b, form.c, form.D
     rep = np.zeros(x + 1, dtype=bool)
     n_max = math.isqrt(4 * a * x // D) if x else 0
@@ -145,14 +153,24 @@ def count_represented_primes(form: ReducedForm, x: int,
                              checkpoints: np.ndarray | list | None = None) -> CountSeries:
     """Exact counts of primes p <= checkpoint represented by the form.
 
-    Lattice enumeration over the ellipse Q <= x intersected with the prime
-    table; cost O(x/sqrt(D)) per form.
+    With h(-D) = 1 an odd p not dividing D is represented iff (-D/p) = 1,
+    read from a table mod 4D, and only the p | 2D (all <= D) go to the
+    lattice: one pass over the primes.  Other forms enumerate the ellipse
+    Q <= x into an x-byte table (at most ``_TABLE_BYTES``): O(x) work.
     """
     x = int(x)
-    ps = primes_upto(x)  # the sieve's capacity guard, before the x-entry table
-    rep = represented_values(form, x)
+    if form.D not in _CLASS_NUMBER_ONE and x + 1 > _TABLE_BYTES:  # before the sieve runs
+        raise CapacityError(f"{x + 1} represented values exceed the {_TABLE_BYTES}-byte table")
+    ps = primes_upto(x)  # the sieve's capacity guard
+    hits = ps[:0]
+    if form.D in _CLASS_NUMBER_ONE:
+        split = np.array([r % 2 == 1 and kronecker(-form.D, r) == 1 for r in range(4 * form.D)])
+        hits = ps[split[ps % (4 * form.D)]]
+        ps = np.array([p for p in factorize(2 * form.D) if p <= x], dtype=np.int64)
+    rep = represented_values(form, int(ps[-1]) if ps.size else 0)
+    hits = np.sort(np.concatenate((hits, ps[rep[ps]])))
     return CountSeries.of_hits(
-        ps[rep[ps]], x, checkpoints,
+        hits, x, checkpoints,
         f"primes represented by ({form.a},{form.b},{form.c}), disc -{form.D}")
 
 

@@ -378,7 +378,7 @@ def growth_shape_report(series: CountSeries, mode: str) -> ShapeReport:
 
 def read_curves(path) -> list[CurveModel]:
     """Parse a plain-text curve file: one 'A B [label]' triple per line;
-    blank lines and lines starting with '#' are skipped."""
+    blank and '#' lines are skipped, and a file with no curve is refused."""
     curves = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -390,4 +390,6 @@ def read_curves(path) -> list[CurveModel]:
                 raise DomainError(f"{path}:{line_no}: expected 'A B [label]'")
             label = parts[2] if len(parts) > 2 else ""
             curves.append(CurveModel(A=int(parts[0]), B=int(parts[1]), label=label))
+    if not curves:
+        raise DomainError(f"{path}: no curve in the file")
     return curves

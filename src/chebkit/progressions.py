@@ -1,8 +1,9 @@
 """Primes in arithmetic progressions and the Brun-Titchmarsh checks.
 
-Counting is exact (sieve + vectorized residue masks); the two inequality
-checks compare the exact count against the Montgomery-Vaughan bound and
-the sharper piecewise-constant bound with an explicit o(1) slack.
+Counting is exact: one bincount of the sieve's primes by residue per (q, x)
+serves every residue's query; the two inequality checks compare that count
+against the Montgomery-Vaughan bound and the sharper piecewise-constant
+bound with an explicit o(1) slack.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .arith import factorize
 from .bounds import brun_titchmarsh_constant
+from .chebotarev import _MAX_MODULUS
 from .errors import DomainError
 from .reports import BoundReport
 from .sieve import primes_upto
@@ -47,16 +49,32 @@ def euler_phi(q: int) -> int:
 
 def pi_ap(query: APQuery) -> int:
     """Exact count of primes p <= x with p = a (mod q); q = 1 counts all."""
-    ps = primes_upto(query.x)
-    return int(np.count_nonzero(ps % query.q == query.a % query.q))
+    q, a = query.q, query.a % query.q
+    if q == 1:
+        return int(primes_upto(query.x).size)
+    if q > _MAX_MODULUS:            # past the Frobenius-map limit: no q-entry vector
+        return int(np.count_nonzero(primes_upto(query.x) % q == a))
+    return int(residue_counts(q, query.x)[a])
+
+
+# (q, floor(x), read-only pi(x; q, a) for every a): the count of the last
+# pair asked, replaced whole
+_last_counts = (None, None, None)
 
 
 def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.ndarray:
-    """Vector of pi(x; q, a) for a = 0..q-1 in one pass (bulk counting)."""
+    """Vector of pi(x; q, a) for a = 0..q-1 in one pass over ``primes``
+    (default: the sieve's, whose count of the last (q, floor(x)) is kept)."""
+    global _last_counts
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    ps = primes_upto(x) if primes is None else primes[primes <= x]
-    return np.bincount(ps % q, minlength=q).astype(np.int64)
+    if primes is not None:
+        return np.bincount(primes[primes <= x] % q, minlength=q).astype(np.int64)
+    if _last_counts[:2] != (q, math.floor(x)):
+        counts = np.bincount(primes_upto(x) % q, minlength=q).astype(np.int64)
+        counts.flags.writeable = False
+        _last_counts = (q, math.floor(x), counts)
+    return _last_counts[2]
 
 
 def _bt_compare(query: APQuery, coefficient, label: str, **report) -> BoundReport:

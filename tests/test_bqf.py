@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from chebkit import bqf
-from chebkit.arith import kronecker
+from chebkit.arith import factorize, kronecker
 from chebkit.bqf import (ClassGroupSummary, ReducedForm, class_number,
                          count_represented_primes, delta_q, reduce_form,
                          representation_density_report, represented_values)
@@ -255,3 +256,43 @@ def test_sieve_guard_fires_before_the_represented_value_table(monkeypatch):
     monkeypatch.setattr(bqf, "represented_values", unreachable)
     with pytest.raises(CapacityError):
         count_represented_primes(reduce_form(2, 1, 3), 10**10)
+
+
+@pytest.mark.parametrize("D", sorted(bqf._CLASS_NUMBER_ONE))
+def test_class_number_one_forms_count_their_split_primes_as_the_lattice_does(D):
+    x = 10**5
+    [form] = class_number(D).forms
+    ps = primes_upto(x)
+    rep = represented_values(form, x)
+    checkpoints = sorted({2, 3, *factorize(D), 1000, x})
+    series = count_represented_primes(form, x, checkpoints)
+    assert series.counts.tolist() == [np.count_nonzero(rep[ps[ps <= c]]) for c in checkpoints]
+
+
+def test_class_number_one_list_is_every_such_discriminant_to_10_4():
+    found = {D for D in range(3, 10**4 + 1)
+             if (-D) % 4 in (0, 1) and class_number(D).h == 1}
+    assert found == bqf._CLASS_NUMBER_ONE
+
+
+def test_represented_value_table_refuses_past_its_budget_before_allocating(monkeypatch):
+    monkeypatch.setattr(bqf, "_TABLE_BYTES", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="1000"):
+            represented_values(ReducedForm(2, 1, 3), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5                 # the table would take 10^6 bytes
+    assert represented_values(ReducedForm(2, 1, 3), 999).size == 1000
+    with pytest.raises(CapacityError):  # one entry past the budget
+        represented_values(ReducedForm(2, 1, 3), 1000)
+    with monkeypatch.context() as m:     # refused before the sieve runs
+        m.setattr(bqf, "primes_upto", lambda x: pytest.fail("sieved past the budget"))
+        with pytest.raises(CapacityError):
+            count_represented_primes(ReducedForm(2, 1, 3), 10**4)
+    # a class-number-one form builds no x-entry table
+    ps = primes_upto(10**5)
+    series = count_represented_primes(ReducedForm(1, 0, 1), 10**5)
+    assert series.counts[-1] == 1 + np.count_nonzero(ps % 4 == 1)

@@ -338,6 +338,13 @@ def test_curves_file_input(tmp_path):
     assert len(text.splitlines()) == 3  # header + one row per curve
 
 
+def test_a_curves_file_without_a_curve_exits_2(tmp_path):
+    path = tmp_path / "none.txt"
+    path.write_text("# none\n\n")
+    code, text = run(["lang-trotter", "--curves-file", str(path), "--x", "500"])
+    assert code == 2 and str(path) in text and "no curve" in text
+
+
 def test_lang_trotter_flags_cm_from_the_j_invariant():
     for curve, flagged in (("0,1", True), ("1,1", False)):
         code, text = run(["lang-trotter", "--curve", curve, "--x", "500"])
@@ -465,6 +472,8 @@ _SUBCOMMAND_FLAGS = {
 _MODES = {
     ("weights-verify", "sampled"): ["--x", "100", "--ell", "2", "--eps", "0.1",
                                     "--samples", "5"],
+    ("weights-verify", "unsampled"): ["--x", "100", "--ell", "2", "--eps", "0.1",
+                                      "--samples", "0"],
     ("bounds", "invariants only"): ["--n-k", "1", "--d-k", "1", "--q-max", "5"],
     ("bounds", "every calculator"): SAMPLES["bounds"],
     ("pi-ap", "checked"): ["--q", "7", "--a", "3", "--x", "1000"],
@@ -488,6 +497,7 @@ _REFUSED = {
     ("bounds", "invariants only", flag)
     for flag in ("--sigma", "--t-height", "--clamp", "--beta1", "--eta", "--c1")
 } | {
+    ("weights-verify", "unsampled", "--seed"),
     ("pi-ap", "count only", "--slack"),
     ("bqf", "one form", "--D"),
     ("chebotarev", "quadratic", "--cyclotomic"),
@@ -499,6 +509,10 @@ _REFUSED = {
     ("lang-trotter", "field", "--curves-file"),
     ("lang-trotter", "field", "--a"),
 }
+# the triples whose report cannot change: with no sample, weights-verify's
+# rows are F(0) = 1/2 + eps/log x and the weight at seven points where it is
+# 0 or 1, none of which depends on ell
+_SAME_REPORT = {("weights-verify", "unsampled", "--ell")}
 
 
 def _subcommand_flags(cmd):
@@ -528,9 +542,11 @@ def test_every_flag_of_every_mode_changes_the_report_or_exits_2(tmp_path):
                 if flag not in argv:  # a config value counts as given
                     cfg.write_text(f"{dests[flag]} = {'true' if value is None else value}\n")
                     assert run(["--config", str(cfg), cmd, *argv]) == (code, text), triple
+            elif triple in _SAME_REPORT:
+                assert (code, text) == base, triple
             else:
                 assert code == 0 and text != base[1], (triple, text)
-    assert {(c, m) for c, m, _ in _REFUSED} <= set(_MODES)
+    assert {(c, m) for c, m, _ in _REFUSED | _SAME_REPORT} <= set(_MODES)
 
 
 @pytest.mark.parametrize("flags,message", [

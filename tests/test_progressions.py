@@ -1,13 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chebkit import progressions, sieve
+from chebkit.cli import run
 from chebkit.errors import DomainError
 from chebkit.progressions import (APQuery, euler_phi, maynard_check,
                                   montgomery_vaughan_check, pi_ap,
                                   residue_counts)
-from chebkit.sieve import primes_upto
+from chebkit.sieve import primes_upto, simple_sieve
 
 
 def brute_phi(q: int) -> int:
@@ -95,3 +100,48 @@ def test_maynard_degenerate_slack_fails_and_flags():
 
 def test_maynard_passes_at_desk_scale():
     assert maynard_check(APQuery(q=7, a=3, x=10**6)).passed
+
+
+# (q, x) keys: small moduli, and moduli past the 2^20 limit that pi_ap
+# counts directly
+_KEYS = st.tuples(st.one_of(st.integers(1, 300), st.integers(2**20 + 1, 2**20 + 4000)),
+                  st.floats(2, 2e5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), keys=st.lists(_KEYS, min_size=1, max_size=3))
+def test_counts_match_a_direct_count_over_interleaved_queries(data, keys):
+    saved = sieve._table, progressions._last_counts
+    # start from an empty prime table, so that a larger x grows it mid-session
+    sieve._table, progressions._last_counts = (1, saved[0][1][:0]), (None, None, None)
+    try:
+        for i in data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=8)):
+            q, x = keys[i]                      # a small pool, so keys repeat
+            a = data.draw(st.integers(-q, 2 * q).filter(lambda a: math.gcd(a, q) == 1))
+            ps = simple_sieve(int(x))
+            expect = int(np.count_nonzero(ps % q == a % q))
+            assert pi_ap(APQuery(q=q, a=a, x=x)) == expect, (q, a, x)
+            if data.draw(st.booleans()):
+                counts = residue_counts(q, x)
+                assert counts[a % q] == expect and counts.sum() == ps.size, (q, a, x)
+    finally:
+        sieve._table, progressions._last_counts = saved
+
+
+def test_bt_check_counts_the_residues_once(monkeypatch):
+    builds, primes_upto_ = [], progressions.primes_upto
+    monkeypatch.setattr(progressions, "_last_counts", (None, None, None))
+    monkeypatch.setattr(progressions, "primes_upto",
+                        lambda x: builds.append(x) or primes_upto_(x))
+    code, text = run(["bt-check", "--q", "17", "--x", "1e5"])
+    assert code == 0 and len(json.loads(text)["rows"]) == 16
+    assert builds == [1e5]              # one pass for 16 residues and 32 checks
+    assert run(["pi-ap", "--q", "17", "--a", "3", "--x", "100000.5"])[0] == 0
+    assert len(builds) == 1             # the same (q, floor(x))
+    counts = residue_counts(17, 1e5)
+    with pytest.raises(ValueError):     # the kept count is read-only
+        counts[3] = 0
+    pi_ap(APQuery(q=18, a=5, x=1e5))
+    assert len(builds) == 2             # another modulus: one new pass
+    pi_ap(APQuery(q=2**20 + 1, a=5, x=1e5))
+    assert len(builds) == 3 and progressions._last_counts[0] == 18
