@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, kronecker
+from .arith import factorize, squarefree_kernel
+from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
 from .reports import PowerValue
 from .sieve import CountSeries, li, primes_upto
@@ -55,9 +56,6 @@ class ReducedForm:
     def D(self) -> int:
         """Positive D with discriminant -D."""
         return -self.disc
-
-    def value(self, m, n):
-        return self.a * m * m + self.b * m * n + self.c * n * n
 
 
 def reduce_form(a: int, b: int, c: int) -> ReducedForm:
@@ -154,9 +152,10 @@ def count_represented_primes(form: ReducedForm, x: int,
     """Exact counts of primes p <= checkpoint represented by the form.
 
     With h(-D) = 1 an odd p not dividing D is represented iff (-D/p) = 1,
-    read from a table mod 4D, and only the p | 2D (all <= D) go to the
-    lattice: one pass over the primes.  Other forms enumerate the ellipse
-    Q <= x into an x-byte table (at most ``_TABLE_BYTES``): O(x) work.
+    which is (d_K/p) for K = Q(sqrt(-D)) as -D = f^2 d_K: K's Frobenius map
+    gives it and marks every odd p | D ramified.  Only the p | 2D (all <= D)
+    go to the lattice: one pass over the primes.  Other forms enumerate the
+    ellipse Q <= x into an x-byte table (at most ``_TABLE_BYTES``): O(x) work.
     """
     x = int(x)
     if form.D not in _CLASS_NUMBER_ONE and x + 1 > _TABLE_BYTES:  # before the sieve runs
@@ -164,14 +163,13 @@ def count_represented_primes(form: ReducedForm, x: int,
     ps = primes_upto(x)  # the sieve's capacity guard
     hits = ps[:0]
     if form.D in _CLASS_NUMBER_ONE:
-        split = np.array([r % 2 == 1 and kronecker(-form.D, r) == 1 for r in range(4 * form.D)])
-        hits = ps[split[ps % (4 * form.D)]]
+        field = quadratic_field(squarefree_kernel(-form.D))
+        odd = ps[1:]                    # ps[0] = 2 when x >= 2
+        hits = odd[(field.index == 0)[odd % abs(field.disc)]]
         ps = np.array([p for p in factorize(2 * form.D) if p <= x], dtype=np.int64)
     rep = represented_values(form, int(ps[-1]) if ps.size else 0)
     hits = np.sort(np.concatenate((hits, ps[rep[ps]])))
-    return CountSeries.of_hits(
-        hits, x, checkpoints,
-        f"primes represented by ({form.a},{form.b},{form.c}), disc -{form.D}")
+    return CountSeries.of_hits(hits, x, checkpoints)
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,6 @@ class FormDensityReport:
     """Comparison of a representation count against delta_Q Li(x)/h(-D);
     below x = 2 the target, and so the ratio, is nan."""
 
-    form: ReducedForm
     x: float
     count: int
     h: int
@@ -205,7 +202,7 @@ def representation_density_report(form: ReducedForm,
     for x, count in zip(series.checkpoints.tolist(), series.counts.tolist()):
         target = d * li(x) / h if x >= 2 else math.nan
         reports.append(FormDensityReport(
-            form=form, x=x, count=int(count), h=h, delta=d, target=target,
+            x=x, count=int(count), h=h, delta=d, target=target,
             ratio=count / target if target else math.nan,
             below_upper_bound=count < 2.0 * target,
             asymptotic_threshold=threshold,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,20 +139,13 @@ def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
     return values[hit], np.log(primes[hit])
 
 
-# (extension, x, the _census counters over the classes): the census of
-# the last pair asked, replaced whole; it holds no per-prime arrays
-_last_census = (None, None, None)
-
-
+@lru_cache(maxsize=1)
 def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, ...]:
     """pi_C(x), theta_C(x), psi_C(x), #{p < x} and the sum of 1/m over
     p^m < x with m >= 2, for every class in label order, from one pass:
     each prime's class is one lookup in ext.index, and each counter one
-    bincount, whose last bin (the ramified primes) is dropped."""
-    global _last_census
-    at_ext, at_x, counts = _last_census
-    if at_ext is ext and at_x == x:
-        return counts
+    bincount, whose last bin (the ramified primes) is dropped.  The last
+    (ext, x) asked is kept; it holds no per-prime arrays."""
     mod, n = abs(ext.disc), len(ext.labels) + 1
     ps = primes_upto(x)
     k = ext.index[ps % mod]
@@ -163,8 +157,7 @@ def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, ...]:
     kh = ext.index[values % mod]
     psi = theta + np.bincount(kh, weights=np.log(primes), minlength=n)[:-1]
     higher = np.bincount(kh, weights=1.0 / exps, minlength=n)[:-1]
-    _last_census = (ext, x, (pi, theta, psi, first, higher))
-    return _last_census[2]
+    return pi, theta, psi, first, higher
 
 
 def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:
@@ -200,7 +193,7 @@ def _summed_by_parts(ext: AbelianExtension, cls: ConjClass, x0: float,
         raise DomainError("need x > x0 > 3")
     k = _class_index(ext, cls)
     _, _, _, first, higher = _census(ext, x)
-    kept, logp = _class_terms(ext, cls, *prime_powers(x0, strict=False)[:2])
+    kept, logp = _class_terms(ext, cls, *prime_powers(x0)[:2])
     w = logp / np.log(kept)          # exactly 1 at a prime, about 1/m at p^m
     head = logp / math.log(x0) - w
     theta = float(first[k]) + float(np.sum(head[w == 1]))
@@ -233,7 +226,7 @@ def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass, spec: WeightSpec) 
     x = spec.x
     lo, hi = spec.support
     limit = x ** hi
-    values, primes, _ = prime_powers(limit + 1, strict=False)
+    values, primes, _ = prime_powers(limit + 1)
     mask = values >= max(2.0, math.floor(x ** lo))
     kept, logp = _class_terms(ext, cls, values[mask], primes[mask])
     t = np.log(kept.astype(float)) / spec.log_x

@@ -96,10 +96,8 @@ def _read_config(path: str) -> dict:
 
 
 def _cmd_weights_verify(args) -> list[dict]:
-    if args.samples < 0:
-        raise DomainError("--samples must be >= 0")
-    if args.seed is not None and args.samples == 0:
-        raise DomainError("--seed needs --samples > 0: no sample is drawn")
+    if args.samples < 1:
+        raise DomainError("--samples must be >= 1")
     spec = WeightSpec(x=args.x, ell=args.ell, eps=args.eps)
     rng = np.random.default_rng(args.seed or 0)
     at_zero = laplace_transform(spec, 0).real
@@ -336,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100, help="sample points, >= 0 (default 100)")
-    p.add_argument("--seed", type=int, help="sample seed (default 0); needs --samples > 0")
+    p.add_argument("--samples", type=int, default=100, help="sample points, >= 1 (default 100)")
+    p.add_argument("--seed", type=int, help="sample seed (default 0)")
 
     p = sub.add_parser("bounds", help="evaluate the analytic bound calculators")
     p.add_argument("--n-k", type=int, required=True)

@@ -322,8 +322,7 @@ def trace_match_count(curve: CurveModel, a: int, x: int,
                       checkpoints=None) -> CountSeries:
     """Counting series for #{good p <= t : a_p = a} at the checkpoints."""
     ps, aps = trace_table(curve, int(x))
-    return CountSeries.of_hits(ps[aps == a], x, checkpoints,
-                               f"a_p = {a} on y^2=x^3+{curve.A}x+{curve.B}")
+    return CountSeries.of_hits(ps[aps == a], x, checkpoints)
 
 
 def frobenius_field_count(curve: CurveModel, D_k: int, x: int,
@@ -340,7 +339,7 @@ def frobenius_field_count(curve: CurveModel, D_k: int, x: int,
     v = aps * aps - 4 * ps
     root = np.sqrt(v // kernel).astype(np.int64)      # isqrt: exact below 2^52
     hits = ps[(v % kernel == 0) & (root * root == v // kernel)]
-    return CountSeries.of_hits(hits, x, checkpoints, f"Frobenius field kernel {kernel}")
+    return CountSeries.of_hits(hits, x, checkpoints)
 
 
 @dataclass(frozen=True)
@@ -348,12 +347,8 @@ class ShapeReport:
     """Descriptive growth-shape ratios for a counting series (no verdict:
     the theorems' constants depend on the curve and are not desk-checkable)."""
 
-    mode: str                       # "trace" | "field"
-    checkpoints: np.ndarray
-    counts: np.ndarray
-    theorem_ratio: np.ndarray       # count * (log x)^2 / (x (log log x)^e)
+    theorem_ratio: np.ndarray       # count * (log x)^2 / (x (log log x)^e), e = 2 or 1
     conjecture_ratio: np.ndarray    # count * log x / sqrt(x)
-    exponent: int                   # e = 2 for trace mode, 1 for field mode
 
 
 def growth_shape_report(series: CountSeries, mode: str) -> ShapeReport:
@@ -367,12 +362,8 @@ def growth_shape_report(series: CountSeries, mode: str) -> ShapeReport:
     lx = np.log(x)
     llx = np.log(lx)
     return ShapeReport(
-        mode=mode,
-        checkpoints=x,
-        counts=c,
         theorem_ratio=c * lx ** 2 / (x * llx ** e),
         conjecture_ratio=c * lx / np.sqrt(x),
-        exponent=e,
     )
 
 

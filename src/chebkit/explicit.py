@@ -118,7 +118,7 @@ def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
     table = character_table(q)
     if not (0 <= char_index < table.shape[0]):
         raise DomainError(f"character index {char_index} out of range for q={q}")
-    values, primes, _ = prime_powers(n_max, strict=False)
+    values, primes, _ = prime_powers(n_max)
     chi = table[char_index][values % q]
     keep = chi != 0
     return LogDerivSeries(values=values[keep], coeffs=(np.log(primes) * chi)[keep],
@@ -128,7 +128,7 @@ def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
 def class_log_deriv(ext: AbelianExtension, cls: ConjClass, n_max: int) -> LogDerivSeries:
     """Coefficients Lambda(n) * [Frobenius class indicator]; identical to
     the weighting used by the direct counters."""
-    kept, logp = _class_terms(ext, cls, *prime_powers(n_max, strict=False)[:2])
+    kept, logp = _class_terms(ext, cls, *prime_powers(n_max)[:2])
     return LogDerivSeries(values=kept, coeffs=logp.astype(complex), n_max=n_max)
 
 
@@ -196,9 +196,7 @@ class ContourResult:
     quad_error: float
     coverage_gap: float
     imag_part: float
-    t_max: float
     quad_step: float
-    n_terms: int
     sigma0: float
 
 
@@ -250,7 +248,7 @@ def contour_sum(series: LogDerivSeries, spec: WeightSpec, t_max: float,
     # prime powers the weight can see but the series does not carry
     gap = 0.0
     if series.n_max < cap:
-        vals, prs, _ = prime_powers(cap, strict=False)
+        vals, prs, _ = prime_powers(cap)
         missing = vals > series.n_max
         gap = float(np.sum(np.log(prs[missing])))
 
@@ -261,8 +259,6 @@ def contour_sum(series: LogDerivSeries, spec: WeightSpec, t_max: float,
         quad_error=quad_error,
         coverage_gap=gap,
         imag_part=0.0 if folded else float(total.imag),
-        t_max=t_max,
         quad_step=h,
-        n_terms=int(line.values.size),
         sigma0=sigma0,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,24 +58,22 @@ def pi_ap(query: APQuery) -> int:
     return int(residue_counts(q, query.x)[a])
 
 
-# (q, floor(x), read-only pi(x; q, a) for every a): the count of the last
-# pair asked, replaced whole
-_last_counts = (None, None, None)
+@lru_cache(maxsize=1)
+def _counts(q: int, top: int) -> np.ndarray:
+    """Read-only pi(top; q, a) for every a; the last (q, top) asked is kept."""
+    counts = np.bincount(primes_upto(top) % q, minlength=q).astype(np.int64)
+    counts.flags.writeable = False
+    return counts
 
 
 def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.ndarray:
     """Vector of pi(x; q, a) for a = 0..q-1 in one pass over ``primes``
     (default: the sieve's, whose count of the last (q, floor(x)) is kept)."""
-    global _last_counts
     if q < 1:
         raise DomainError("modulus must be >= 1")
     if primes is not None:
         return np.bincount(primes[primes <= x] % q, minlength=q).astype(np.int64)
-    if _last_counts[:2] != (q, math.floor(x)):
-        counts = np.bincount(primes_upto(x) % q, minlength=q).astype(np.int64)
-        counts.flags.writeable = False
-        _last_counts = (q, math.floor(x), counts)
-    return _last_counts[2]
+    return _counts(q, math.floor(x))
 
 
 def _bt_compare(query: APQuery, coefficient, label: str, **report) -> BoundReport:
@@ -106,5 +105,4 @@ def maynard_check(query: APQuery, slack: float = 0.1) -> BoundReport:
     the report is marked heuristic.
     """
     return _bt_compare(query, lambda theta: brun_titchmarsh_constant(theta) + slack,
-                       "piecewise-constant BT", heuristic=True,
-                       notes="o(1) replaced by fixed slack")
+                       "piecewise-constant BT", heuristic=True)

@@ -21,17 +21,16 @@ class BoundReport:
     passed: bool
     label: str = ""
     heuristic: bool = False
-    notes: str = ""
 
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
 
     @staticmethod
-    def compare(lhs: float, rhs: float, label: str = "", heuristic: bool = False,
-                notes: str = "") -> "BoundReport":
+    def compare(lhs: float, rhs: float, label: str = "",
+                heuristic: bool = False) -> "BoundReport":
         return BoundReport(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs), label=label,
-                           heuristic=heuristic, notes=notes)
+                           heuristic=heuristic)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ class CountSeries:
 
     checkpoints: np.ndarray
     counts: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         cps = np.asarray(self.checkpoints, dtype=float)
@@ -42,11 +41,10 @@ class CountSeries:
         if cps.size and np.any(np.diff(cps) <= 0):
             raise DomainError("checkpoints must be strictly ascending")
         if np.any(np.diff(cts) < 0):
-            raise DomainError(f"counts must be monotone nondecreasing ({self.label!r})")
+            raise DomainError("counts must be monotone nondecreasing")
 
     @classmethod
-    def of_hits(cls, hits: np.ndarray, x: float, checkpoints=None,
-                label: str = "") -> CountSeries:
+    def of_hits(cls, hits: np.ndarray, x: float, checkpoints=None) -> CountSeries:
         """Count the ascending ``hits`` <= each checkpoint (default: x alone).
         The hits stop at x, so a checkpoint whose floor exceeds x (or a nan)
         is refused."""
@@ -55,7 +53,7 @@ class CountSeries:
         if past.size:
             raise DomainError(f"checkpoint {past[0]:g} lies past x = {x:g}, where the counted "
                               "primes stop")
-        return cls(cps, np.searchsorted(hits, cps, side="right").astype(float), label)
+        return cls(cps, np.searchsorted(hits, cps, side="right").astype(float))
 
     def at(self, x: float) -> float:
         """Step-function value: count at the largest checkpoint <= x."""
@@ -140,14 +138,14 @@ def _higher_powers(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(c)[order] for c in (vals, prs, exps))
 
 
-def prime_powers(limit: float, *, strict: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prime powers p^m < limit (``strict``) or <= limit, sorted by value.
+def prime_powers(limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime powers p^m <= limit, sorted by value.
 
     Returns (values, primes, exponents): the support of the von Mangoldt
     function up to ``limit``.  The ``_higher_powers`` are merged into the
     prime table; prime powers are distinct, so the merged order is total.
     """
-    top = math.ceil(limit) - 1 if strict else math.floor(limit)
+    top = math.floor(limit)
     ps = primes_upto(top)
     vals, prs, exps = _higher_powers(top)
     at = np.searchsorted(ps, vals)

@@ -418,7 +418,7 @@ print(json.dumps([[f(ext, c, x) for f in (pi_class, theta_class, psi_class)]
 def test_census_is_built_once_per_field_and_x(monkeypatch):
     builds, results = [], []
     primes_upto_, census_ = chebotarev.primes_upto, chebotarev._census
-    monkeypatch.setattr(chebotarev, "_last_census", (None, None, None))
+    census_.cache_clear()
     monkeypatch.setattr(chebotarev, "primes_upto",
                         lambda x: builds.append(x) or primes_upto_(x))
     monkeypatch.setattr(chebotarev, "_census",
@@ -436,7 +436,7 @@ def test_census_is_built_once_per_field_and_x(monkeypatch):
     # prime powers only up to x0
     limits, prime_powers_ = [], chebotarev.prime_powers
     monkeypatch.setattr(chebotarev, "prime_powers",
-                        lambda limit, **kw: limits.append(limit) or prime_powers_(limit, **kw))
+                        lambda limit: limits.append(limit) or prime_powers_(limit))
     counting_chain_check(c12, ConjClass(5), 10, 5000.0)
     theta_partial_sum(c12, ConjClass(7), 10, 5000.0)
     assert len(builds) == 1 and limits == [10, 10]
@@ -445,7 +445,7 @@ def test_census_is_built_once_per_field_and_x(monkeypatch):
     assert len(builds) == 2
     read_all(quadratic_field(-1), 5000.0)
     read_all(quadratic_field(-1), 5000.0)  # an equal map, but a new object
-    assert len(builds) == 4
+    assert len(builds) == 4 and census_.cache_info().misses == 4
 
     src = str(Path(chebotarev.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -453,3 +453,21 @@ def test_census_is_built_once_per_field_and_x(monkeypatch):
     proc = subprocess.run([sys.executable, "-c", _FRESH_CENSUS, "7919.0"],
                           capture_output=True, text=True, env=env, check=True)
     assert got == json.loads(proc.stdout)
+
+
+def test_an_int_x_and_the_equal_float_share_one_census():
+    c12, cls = cyclotomic_field(12), ConjClass(5)
+    chebotarev._census.cache_clear()
+    pi_class(c12, cls, 10**6)
+    theta_class(c12, cls, 1e6)
+    assert chebotarev._census.cache_info()[:2] == (1, 1)     # (hits, misses)
+
+
+def test_a_refused_census_keeps_the_kept_one():
+    c12, cls = cyclotomic_field(12), ConjClass(5)
+    chebotarev._census.cache_clear()
+    count = pi_class(c12, cls, 5000.0)
+    with pytest.raises(CapacityError):
+        pi_class(c12, cls, 2.0**34)
+    assert pi_class(c12, cls, 5000.0) == count
+    assert chebotarev._census.cache_info().hits == 1

@@ -472,8 +472,6 @@ _SUBCOMMAND_FLAGS = {
 _MODES = {
     ("weights-verify", "sampled"): ["--x", "100", "--ell", "2", "--eps", "0.1",
                                     "--samples", "5"],
-    ("weights-verify", "unsampled"): ["--x", "100", "--ell", "2", "--eps", "0.1",
-                                      "--samples", "0"],
     ("bounds", "invariants only"): ["--n-k", "1", "--d-k", "1", "--q-max", "5"],
     ("bounds", "every calculator"): SAMPLES["bounds"],
     ("pi-ap", "checked"): ["--q", "7", "--a", "3", "--x", "1000"],
@@ -497,7 +495,6 @@ _REFUSED = {
     ("bounds", "invariants only", flag)
     for flag in ("--sigma", "--t-height", "--clamp", "--beta1", "--eta", "--c1")
 } | {
-    ("weights-verify", "unsampled", "--seed"),
     ("pi-ap", "count only", "--slack"),
     ("bqf", "one form", "--D"),
     ("chebotarev", "quadratic", "--cyclotomic"),
@@ -509,10 +506,6 @@ _REFUSED = {
     ("lang-trotter", "field", "--curves-file"),
     ("lang-trotter", "field", "--a"),
 }
-# the triples whose report cannot change: with no sample, weights-verify's
-# rows are F(0) = 1/2 + eps/log x and the weight at seven points where it is
-# 0 or 1, none of which depends on ell
-_SAME_REPORT = {("weights-verify", "unsampled", "--ell")}
 
 
 def _subcommand_flags(cmd):
@@ -542,11 +535,9 @@ def test_every_flag_of_every_mode_changes_the_report_or_exits_2(tmp_path):
                 if flag not in argv:  # a config value counts as given
                     cfg.write_text(f"{dests[flag]} = {'true' if value is None else value}\n")
                     assert run(["--config", str(cfg), cmd, *argv]) == (code, text), triple
-            elif triple in _SAME_REPORT:
-                assert (code, text) == base, triple
             else:
                 assert code == 0 and text != base[1], (triple, text)
-    assert {(c, m) for c, m, _ in _REFUSED | _SAME_REPORT} <= set(_MODES)
+    assert {(c, m) for c, m, _ in _REFUSED} <= set(_MODES)
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -575,6 +566,8 @@ def test_bounds_refuses_a_flag_whose_calculator_does_not_run(flags, message):
     (["weights-verify", "--x", "100", "--ell", "2", "--eps", "0.1", "--samples", "-3"],
      "--samples"),
     (["lang-trotter", "--curve", "1,1", "--x", "500", "--a", "5", "--disc", "-3"], "--a"),
+    (["weights-verify", "--x", "100", "--ell", "2", "--eps", "0.1", "--samples", "0"],
+     "--samples must be >= 1"),
 ])
 def test_a_flag_the_run_cannot_read_exits_2(argv, flag):
     code, text = run(argv)
@@ -582,10 +575,10 @@ def test_a_flag_the_run_cannot_read_exits_2(argv, flag):
 
 
 def test_smallest_counts_still_run():
-    # two is the least n_max with a prime power, zero samples the least sample
+    # two is the least n_max with a prime power, one sample the least sample
     for argv in (["mellin-check", "--q", "1", "--x", "50", "--t-max", "50", "--n-max", "2"],
                  ["weights-verify", "--x", "100", "--ell", "2", "--eps", "0.1",
-                  "--samples", "0"]):
+                  "--samples", "1"]):
         assert run(argv)[0] == 0, argv
 
 

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports at module level.
+"""Every module of the package uses each name it imports at module level,
+and each module-level private name is read somewhere in the package.
 
-``__init__.py`` is exempt (its imports are the public re-exports), and so
-is ``from __future__ import ...``.
+``__init__.py`` is exempt from the first (its imports are the public
+re-exports), and so is ``from __future__ import ...``.
 """
 
 import ast
@@ -36,3 +37,43 @@ def test_guard_catches_unused_imports():
               "import numpy as np\nfrom x import y, z as w\n"
               "def f() -> np.ndarray:\n    return w(os.sep)\n")
     assert unused_imports(source) == ["math", "y"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level ``_``-prefixed function, class or
+    constant in ``sources`` (module name -> source) whose name no module
+    reads: as a loaded name, an attribute or an imported name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [f"{module}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [name for name in defined if name.split(".")[1] not in read]
+
+
+def test_modules_read_every_private_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_guard_catches_unread_private_names():
+    sources = {"a": ("_LIMIT = 3\n_last = None\n__version__ = '1'\n"
+                     "def _helper():\n    return _LIMIT\nclass _Unused:\n    pass\n"),
+               "b": "from .a import _helper\ndef f():\n    global _last\n    _last = _helper()\n"}
+    assert unread_private_names(sources) == ["a._last", "a._Unused"]

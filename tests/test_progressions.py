@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chebkit import progressions, sieve
 from chebkit.cli import run
-from chebkit.errors import DomainError
+from chebkit.errors import CapacityError, DomainError
 from chebkit.progressions import (APQuery, euler_phi, maynard_check,
                                   montgomery_vaughan_check, pi_ap,
                                   residue_counts)
@@ -111,9 +111,10 @@ _KEYS = st.tuples(st.one_of(st.integers(1, 300), st.integers(2**20 + 1, 2**20 + 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), keys=st.lists(_KEYS, min_size=1, max_size=3))
 def test_counts_match_a_direct_count_over_interleaved_queries(data, keys):
-    saved = sieve._table, progressions._last_counts
+    saved = sieve._table
     # start from an empty prime table, so that a larger x grows it mid-session
-    sieve._table, progressions._last_counts = (1, saved[0][1][:0]), (None, None, None)
+    sieve._table = (1, saved[1][:0])
+    progressions._counts.cache_clear()
     try:
         for i in data.draw(st.lists(st.integers(0, len(keys) - 1), min_size=1, max_size=8)):
             q, x = keys[i]                      # a small pool, so keys repeat
@@ -125,12 +126,12 @@ def test_counts_match_a_direct_count_over_interleaved_queries(data, keys):
                 counts = residue_counts(q, x)
                 assert counts[a % q] == expect and counts.sum() == ps.size, (q, a, x)
     finally:
-        sieve._table, progressions._last_counts = saved
+        sieve._table = saved
 
 
 def test_bt_check_counts_the_residues_once(monkeypatch):
     builds, primes_upto_ = [], progressions.primes_upto
-    monkeypatch.setattr(progressions, "_last_counts", (None, None, None))
+    progressions._counts.cache_clear()
     monkeypatch.setattr(progressions, "primes_upto",
                         lambda x: builds.append(x) or primes_upto_(x))
     code, text = run(["bt-check", "--q", "17", "--x", "1e5"])
@@ -144,4 +145,8 @@ def test_bt_check_counts_the_residues_once(monkeypatch):
     pi_ap(APQuery(q=18, a=5, x=1e5))
     assert len(builds) == 2             # another modulus: one new pass
     pi_ap(APQuery(q=2**20 + 1, a=5, x=1e5))
-    assert len(builds) == 3 and progressions._last_counts[0] == 18
+    assert len(builds) == 3
+    with pytest.raises(CapacityError):  # a refused count keeps the kept one
+        residue_counts(18, 2.0**34)
+    pi_ap(APQuery(q=18, a=7, x=1e5))
+    assert builds[3:] == [2**34] and progressions._counts.cache_info().misses == 3

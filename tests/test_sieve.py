@@ -149,17 +149,16 @@ def test_prime_powers_below_20():
 
 
 def test_prime_powers_strictness():
-    strict = prime_powers(16, strict=True)[0].tolist()
-    incl = prime_powers(16, strict=False)[0].tolist()
-    assert 16 not in strict and 16 in incl
+    assert 16 not in prime_powers(15.5)[0].tolist()
+    assert 16 in prime_powers(16)[0].tolist()
 
 
-def brute_prime_powers(limit, strict):
-    """(p^m, p, m) below (``strict``) or up to ``limit``, raised in Python ints."""
+def brute_prime_powers(limit):
+    """(p^m, p, m) up to ``limit``, raised in Python ints."""
     found = []
     for p in simple_sieve(math.floor(limit)).tolist():
         v, m = p, 1
-        while v < limit or (not strict and v == limit):
+        while v <= limit:
             found.append((v, p, m))
             v, m = v * p, m + 1
     return sorted(found)
@@ -176,12 +175,11 @@ SMALL_PRIME_POWERS = [p ** m for p in simple_sieve(450).tolist() for m in range(
            st.integers(min_value=0, max_value=200_000),
            st.sampled_from(SMALL_PRIME_POWERS),
            st.builds(lambda v, d: v + d, st.sampled_from(SMALL_PRIME_POWERS),
-                     st.sampled_from([-1e-7, 1e-7, -1.0, 1.0]))),
-       st.booleans())
-def test_prime_powers_match_brute_force(limit, strict):
-    got = prime_powers(limit, strict=strict)
+                     st.sampled_from([-1e-7, 1e-7, -1.0, 1.0]))))
+def test_prime_powers_match_brute_force(limit):
+    got = prime_powers(limit)
     assert all(a.dtype == np.int64 for a in got)
-    assert list(zip(*(a.tolist() for a in got))) == brute_prime_powers(limit, strict)
+    assert list(zip(*(a.tolist() for a in got))) == brute_prime_powers(limit)
     assert np.all(np.diff(got[0]) > 0)
 
 
@@ -235,7 +233,7 @@ def partial_sum_pi_from_theta(theta_series: CountSeries, x0: float, x: float) ->
 
 def test_partial_sum_zero_series():
     grid = np.linspace(4, 30, 100)
-    series = CountSeries(grid, np.zeros(grid.size), "zero")
+    series = CountSeries(grid, np.zeros(grid.size))
     assert partial_sum_pi_from_theta(series, 4.0, 30.0) == 0.0
 
 
@@ -244,7 +242,7 @@ def test_partial_sum_recovers_count():
     primes = [5, 13, 17]
     grid = np.linspace(4.0, 20.0, 4001)
     theta = np.array([sum(math.log(p) for p in primes if p < t) for t in grid])
-    series = CountSeries(grid, theta, "theta {5,13,17}")
+    series = CountSeries(grid, theta)
     est = partial_sum_pi_from_theta(series, 4.0, 20.0)
     assert est == pytest.approx(3.0, rel=0.01)
 
@@ -254,7 +252,7 @@ def test_partial_sum_is_exact_on_prime_checkpoints():
     # at x: the step integral recovers #{4 < p <= 20} = 3 exactly
     cps = [5.0, 13.0, 17.0, 20.0]
     theta = np.cumsum([math.log(5), math.log(13), math.log(17), 0.0])
-    series = CountSeries(cps, theta, "theta {5,13,17}")
+    series = CountSeries(cps, theta)
     assert partial_sum_pi_from_theta(series, 4.0, 20.0) == pytest.approx(3.0, abs=1e-12)
 
 
@@ -276,7 +274,7 @@ def searchsorted_partial_sum(theta_series, x0, x):
 def test_partial_sum_levels_by_index_match_searchsorted(data, cps, offset):
     cps = np.array(cps, dtype=float) + offset
     steps = data.draw(st.lists(st.floats(0.0, 50.0), min_size=cps.size, max_size=cps.size))
-    series = CountSeries(cps, np.cumsum(steps), "random steps")
+    series = CountSeries(cps, np.cumsum(steps))
     x0 = data.draw(st.one_of(
         st.sampled_from(cps[:-1].tolist()),                       # on a checkpoint
         st.floats(3.0, cps[0], exclude_min=True),                 # below the first
@@ -288,7 +286,7 @@ def test_partial_sum_levels_by_index_match_searchsorted(data, cps, offset):
 
 def test_partial_sum_domain_errors():
     grid = np.linspace(4, 30, 10)
-    series = CountSeries(grid, np.zeros(10), "zero")
+    series = CountSeries(grid, np.zeros(10))
     with pytest.raises(DomainError):
         partial_sum_pi_from_theta(series, 30.0, 10.0)
     with pytest.raises(DomainError):
@@ -301,9 +299,9 @@ def test_partial_sum_domain_errors():
 
 def test_count_series_rejects_decreasing_counts():
     with pytest.raises(DomainError):
-        CountSeries(np.array([1.0, 2.0]), np.array([3.0, 1.0]), "bad")
+        CountSeries(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
     with pytest.raises(DomainError):      # no tolerance, however small the drop
-        CountSeries(np.array([1.0, 2.0]), np.array([1e6, 1e6 - 1e-6]), "bad")
+        CountSeries(np.array([1.0, 2.0]), np.array([1e6, 1e6 - 1e-6]))
 
 
 def test_of_hits_refuses_checkpoints_past_x():
@@ -318,11 +316,11 @@ def test_of_hits_refuses_checkpoints_past_x():
 
 def test_count_series_rejects_unsorted_checkpoints():
     with pytest.raises(DomainError):
-        CountSeries(np.array([2.0, 1.0]), np.array([0.0, 1.0]), "bad")
+        CountSeries(np.array([2.0, 1.0]), np.array([0.0, 1.0]))
 
 
 def test_count_series_step_lookup():
-    s = CountSeries(np.array([10.0, 20.0]), np.array([1.0, 4.0]), "s")
+    s = CountSeries(np.array([10.0, 20.0]), np.array([1.0, 4.0]))
     assert s.at(5) == 0.0
     assert s.at(10) == 1.0
     assert s.at(19.9) == 1.0
