@@ -101,13 +101,12 @@ def low_lying_density_bound(lam: float, clamp: bool = False) -> PowerValue:
     """
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    log_val = 162.0 * lam + 188.0
     if clamp:
         if lam <= 0.0875:
-            return PowerValue(min(log_val, 0.0))
+            return PowerValue(0.0)
         if lam <= 0.2866:
-            return PowerValue(min(log_val, math.log(2.0)))
-    return PowerValue(log_val)
+            return PowerValue(math.log(2.0))
+    return PowerValue(162.0 * lam + 188.0)
 
 
 def repulsion_threshold(lambda1: float, eta: float = 1e-2) -> float:
@@ -121,12 +120,11 @@ def repulsion_threshold(lambda1: float, eta: float = 1e-2) -> float:
         raise DomainError("lambda1 must be positive")
     if eta <= 0:
         raise DomainError("eta must be positive")
-    best = 0.2866
-    if lambda1 < 0.0875:
-        best = max(best, 0.44)
-        if eta <= lambda1:
-            best = max(best, 0.2103 * math.log(1.0 / lambda1))
-    return best
+    if lambda1 >= 0.0875:
+        return 0.2866
+    if eta <= lambda1:
+        return max(0.44, 0.2103 * math.log(1.0 / lambda1))
+    return 0.44
 
 
 def deuring_heilbronn_from_L(L: float, n_K: int, beta1: float, T: float,
@@ -183,10 +181,7 @@ class RangeReport:
 
 def extension_complexity(inv: FieldInvariants) -> float:
     """M = [L:K] * D_K^(1/n_K) * product of ramified rational primes."""
-    prod = 1.0
-    for p in inv.ramified_primes:
-        prod *= p
-    return inv.degree_LK * inv.D_K ** (1.0 / inv.n_K) * prod
+    return inv.degree_LK * inv.D_K ** (1.0 / inv.n_K) * math.prod(inv.ramified_primes, start=1.0)
 
 
 def _power_sum(ld: float, lq: float, lnn: float, n: int,

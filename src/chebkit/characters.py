@@ -51,17 +51,14 @@ def _cyclic_components(q: int) -> list[tuple[int, int, np.ndarray]]:
         if p == 2:
             if e == 1:
                 continue
-            if e == 2:
-                comps.append((pe, 2, _dlog_table(3, pe, 2)))
-            else:
-                # every unit is (-1)^s 3^j: one table for s, one for j
-                main = _dlog_table(3, pe, 2 ** (e - 2))
-                powers = np.flatnonzero(main >= 0)
-                main[pe - powers] = main[powers]
-                sign = np.full(pe, -1, dtype=np.int64)
-                sign[powers], sign[pe - powers] = 0, 1
-                comps.append((pe, 2, sign))
-                comps.append((pe, 2 ** (e - 2), main))
+            # every unit is (-1)^s 3^j: one table for s, one for j
+            main = _dlog_table(3, pe, 2 ** (e - 2))
+            powers = np.flatnonzero(main >= 0)
+            main[pe - powers] = main[powers]
+            sign = np.full(pe, -1, dtype=np.int64)
+            sign[powers], sign[pe - powers] = 0, 1
+            comps.append((pe, 2, sign))
+            comps.append((pe, 2 ** (e - 2), main))
         else:
             g = _primitive_root(p, e)
             phi = pe // p * (p - 1)

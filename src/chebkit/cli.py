@@ -69,8 +69,16 @@ def emit(rows: list[dict], fmt: str, meta: dict) -> str:
     return out.getvalue().rstrip("\n")
 
 
+def _finite(text: str) -> float:
+    # the type of every float flag, so config values are checked as well
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_checkpoints(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _given(**kw) -> dict:
@@ -331,44 +339,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("weights-verify", help="check the transform bounds on a sample")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=100, help="sample points, >= 1 (default 100)")
     p.add_argument("--seed", type=int, help="sample seed (default 0)")
 
     p = sub.add_parser("bounds", help="evaluate the analytic bound calculators")
     p.add_argument("--n-k", type=int, required=True)
-    p.add_argument("--d-k", type=float, required=True)
-    p.add_argument("--q-max", type=float, required=True)
+    p.add_argument("--d-k", type=_finite, required=True)
+    p.add_argument("--q-max", type=_finite, required=True)
     p.add_argument("--degree-lk", type=int, default=1)
     p.add_argument("--ramified", type=str, default="")
-    p.add_argument("--constant", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, help="zero-density bound at sigma; needs --t-height")
-    p.add_argument("--t-height", type=float, help="height T; needs --sigma or --beta1")
-    p.add_argument("--lam", type=float, help="low-lying zero count within lam")
+    p.add_argument("--constant", type=_finite, default=1.0)
+    p.add_argument("--sigma", type=_finite, help="zero-density bound at sigma; needs --t-height")
+    p.add_argument("--t-height", type=_finite, help="height T; needs --sigma or --beta1")
+    p.add_argument("--lam", type=_finite, help="low-lying zero count within lam")
     p.add_argument("--clamp", action="store_true", default=None, help="cap the count; needs --lam")
-    p.add_argument("--lambda1", type=float, help="repulsion threshold at lambda1")
-    p.add_argument("--beta1", type=float, help="exclusion boundary; needs --t-height")
-    p.add_argument("--theta", type=float, help="Brun-Titchmarsh constant at theta")
-    p.add_argument("--delta0", type=float, default=1e-3, help="complexity offset (default 1e-3)")
-    p.add_argument("--eta", type=float, help="low-lying window; needs --lambda1")
-    p.add_argument("--c1", type=float, help="exclusion constant; needs --beta1")
+    p.add_argument("--lambda1", type=_finite, help="repulsion threshold at lambda1")
+    p.add_argument("--beta1", type=_finite, help="exclusion boundary; needs --t-height")
+    p.add_argument("--theta", type=_finite, help="Brun-Titchmarsh constant at theta")
+    p.add_argument("--delta0", type=_finite, default=1e-3, help="complexity offset (default 1e-3)")
+    p.add_argument("--eta", type=_finite, help="low-lying window; needs --lambda1")
+    p.add_argument("--c1", type=_finite, help="exclusion constant; needs --beta1")
 
     p = sub.add_parser("pi-ap", help="count primes in one progression")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--slack", type=float, help="heuristic o(1) term; needs q >= 2 and x > q")
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--slack", type=_finite, help="heuristic o(1) term; needs q >= 2 and x > q")
 
     p = sub.add_parser("bt-check", help="Brun-Titchmarsh checks at every unit residue")
     p.add_argument("--q", type=int, required=True, help="modulus, at least 2")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--slack", type=float, help="heuristic o(1) term")
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--slack", type=_finite, help="heuristic o(1) term")
 
     p = sub.add_parser("bqf", help="binary quadratic form counting report")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--form", type=str, required=True, help="a,b,c")
     p.add_argument("--checkpoints", type=_parse_checkpoints, help="x1,x2,... (default x)")
 
@@ -377,18 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cyclotomic", type=int, help="cyclotomic conductor q")
     p.add_argument("--class", dest="cls", type=str, required=True,
                    help="'split'/'inert' or a residue")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--x0", type=float, default=10.0)
+    p.add_argument("--x", type=_finite, required=True)
+    p.add_argument("--x0", type=_finite, default=10.0)
 
     p = sub.add_parser("mellin-check", help="contour vs direct smoothed sum")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--residue", type=int, help="class mod q >= 2 (default 1)")
     p.add_argument("--char-index", type=int,
                    help="check one character's series instead of a class")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--t-max", type=float, default=500.0)
+    p.add_argument("--eps", type=_finite, default=0.1)
+    p.add_argument("--t-max", type=_finite, default=500.0)
     p.add_argument("--n-max", type=int, help="series cutoff, at least 2 (default: the support)")
 
     p = sub.add_parser("lang-trotter", help="trace / Frobenius-field counting")
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves-file", type=str)
     p.add_argument("--a", type=int, help="trace mode: count the primes with a_p = a (default 0)")
     p.add_argument("--disc", type=int, help="field mode: the Frobenius-field discriminant to count")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--checkpoints", type=_parse_checkpoints, help="x1,x2,... (default x)")
     return parser
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import squarefree_kernel
+from .arith import factorize, squarefree_kernel
 from .errors import CapacityError, DomainError
 from .sieve import CountSeries, primes_upto
 
@@ -280,16 +280,18 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
 
 
 def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> FrobeniusRecord:
-    """Exact a_p at one prime: the character sum for 'charsum', and for
-    'auto' below ``_CHARSUM_CUTOFF``; else ``frobenius_traces`` on one lane.
-    Bad-reduction primes give a record with ``skipped=True`` rather than an
-    exception.  ``CapacityError`` comes from the callee: ``_trace_charsum``
-    refuses p > 2^28, and ``frobenius_traces`` primes >= 2^31."""
+    """Exact a_p at one prime: the character sum for 'charsum', else
+    ``frobenius_traces`` on one lane.  Bad-reduction primes give a record
+    with ``skipped=True``; a composite p below 2^31 raises ``DomainError``.
+    ``CapacityError`` comes from the callee: ``_trace_charsum`` refuses
+    p > 2^28, and ``frobenius_traces`` primes >= 2^31."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
         return FrobeniusRecord(p=p, a_p=0, disc_part=0, skipped=True)
-    if method == "charsum" or (method == "auto" and p < _CHARSUM_CUTOFF):
+    if p < _LANE_LIMIT and factorize(p) != {p: 1}:    # its trial divisors stay below 2^16
+        raise DomainError(f"p must be a prime, got {p}")
+    if method == "charsum":
         a = _trace_charsum(curve, p)
     else:
         a = int(frobenius_traces(curve, [p], method)[0])
@@ -315,7 +317,8 @@ def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
     _TRACE_CACHE[key] = (top, ps, aps)
     if len(_TRACE_CACHE) > _TRACE_CACHE_CURVES:
         del _TRACE_CACHE[next(iter(_TRACE_CACHE))]
-    return ps[ps <= x], aps[ps <= x]
+    upto = ps <= x
+    return ps[upto], aps[upto]
 
 
 def trace_match_count(curve: CurveModel, a: int, x: int,

@@ -54,7 +54,8 @@ def pi_ap(query: APQuery) -> int:
     if q == 1:
         return int(primes_upto(query.x).size)
     if q > _MAX_MODULUS:            # past the Frobenius-map limit: no q-entry vector
-        return int(np.count_nonzero(primes_upto(query.x) % q == a))
+        ps = primes_upto(query.x)   # with q > x each p is its own residue; q may pass int64
+        return int(np.count_nonzero((ps if q > query.x else ps % q) == a))
     return int(residue_counts(q, query.x)[a])
 
 

@@ -38,7 +38,7 @@ class CountSeries:
         object.__setattr__(self, "counts", cts)
         if cps.shape != cts.shape:
             raise DomainError("checkpoints and counts must have equal length")
-        if cps.size and np.any(np.diff(cps) <= 0):
+        if np.any(np.diff(cps) <= 0):
             raise DomainError("checkpoints must be strictly ascending")
         if np.any(np.diff(cts) < 0):
             raise DomainError("counts must be monotone nondecreasing")
@@ -96,8 +96,6 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
         for p in base:
             p = int(p)
             first = max(p * p, ((start + p - 1) // p) * p)
-            if first >= stop:
-                continue
             mask[first - start:: p] = False
         chunks.append(np.nonzero(mask)[0].astype(np.int64) + start)
     return np.concatenate(chunks)
@@ -153,6 +151,14 @@ def prime_powers(limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.insert(np.ones(ps.size, dtype=np.int64), at, exps))
 
 
+def _simpson(values: np.ndarray, h: float):
+    """Composite Simpson sum of an odd number of samples spaced h apart."""
+    w = np.ones(values.size)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return h / 3.0 * np.dot(w, values)
+
+
 def li(x: float) -> float:
     """Logarithmic integral Li(x) = int_2^x dt/log t.
 
@@ -162,14 +168,7 @@ def li(x: float) -> float:
     """
     if x < 2:
         raise DomainError("li(x) requires x >= 2")
-    if x == 2:
-        return 0.0
     a, b = math.log(2.0), math.log(x)
     n = 2 * _LI_PANELS
     u = np.linspace(a, b, n + 1)
-    g = np.exp(u) / u
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = (b - a) / n
-    return float(h / 3.0 * np.dot(w, g))
+    return float(_simpson(np.exp(u) / u, (b - a) / n))

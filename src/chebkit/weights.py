@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .reports import BoundReport
+from .sieve import _simpson
 
 # switch each (1-exp(c*z))/(-c*z) factor to a 6-term series below this |c*z|
 # to avoid catastrophic cancellation near z = 0
@@ -38,8 +39,8 @@ class WeightSpec:
     eps: float
 
     def __post_init__(self):
-        if not (self.x >= 3):
-            raise DomainError(f"x must be >= 3, got {self.x}")
+        if not (3 <= self.x < math.inf):
+            raise DomainError(f"x must be finite and >= 3, got {self.x}")
         if not (isinstance(self.ell, (int, np.integer)) and self.ell >= 1):
             raise DomainError(f"ell must be a positive integer, got {self.ell}")
         if not (0 < self.eps < 0.25):
@@ -87,12 +88,11 @@ def _uniform_sum_cdf(s: np.ndarray, ell: int) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     out = np.where(s >= ell, 1.0, 0.0)
     mid = (s > 0) & (s < ell)
-    if np.any(mid):
-        u = s[mid] - np.arange(ell + 1.0)[:, None]  # row k holds s - k
-        f = (u >= 0).astype(float)
-        for j in range(1, ell + 1):
-            f = (u[:-j] * f[:-1] + (j - u[:-j]) * f[1:]) / j
-        out[mid] = f[0]
+    u = s[mid] - np.arange(ell + 1.0)[:, None]  # row k holds s - k
+    f = (u >= 0).astype(float)
+    for j in range(1, ell + 1):
+        f = (u[:-j] * f[:-1] + (j - u[:-j]) * f[1:]) / j
+    out[mid] = f[0]
     return out
 
 
@@ -130,11 +130,7 @@ def laplace_transform_quadrature(spec: WeightSpec, z: complex, step: float = 1e-
     for a, b in zip(knots[:-1], knots[1:]):
         n = 2 * max(4, int(math.ceil((b - a) / (2.0 * step))))
         t = np.linspace(a, b, n + 1)
-        v = weight_value(spec, t) * np.exp(-z * t)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        total += (b - a) / n / 3.0 * np.dot(w, v)
+        total += _simpson(weight_value(spec, t) * np.exp(-z * t), (b - a) / n)
     return complex(total)
 
 

@@ -158,6 +158,16 @@ def test_class_number_rejects_bad_discriminants():
         class_number(-4)
 
 
+def test_class_number_refuses_a_discriminant_past_its_budget(monkeypatch):
+    for D in (bqf._CLASS_NUMBER_BUDGET + 3, 10**23 + 3):     # -D = 1 mod 4
+        with pytest.raises(CapacityError, match="class-number budget"):
+            class_number(D)
+    monkeypatch.setattr(bqf, "_CLASS_NUMBER_BUDGET", 23)
+    assert class_number(23).h == 3
+    with pytest.raises(CapacityError):
+        class_number(24)
+
+
 # --------------------------------------------------------------- delta_Q
 
 def test_delta_q_values():
@@ -200,6 +210,10 @@ def test_represented_primes_against_naive_oracle():
             for f in class_number(D).forms:
                 assert np.array_equal(represented_values(f, x),
                                       naive_represented_values(f.a, f.b, f.c, x)), f
+    # the last row of 4x^2 + 4xy + 5y^2 at x = 100, n = 5, holds no m; x = 0 has one row
+    for (a, b, c), x in (((4, 4, 5), 100), ((2, 1, 3), 0)):
+        assert np.array_equal(represented_values(ReducedForm(a, b, c), x),
+                              naive_represented_values(a, b, c, x)), (a, b, c, x)
 
 
 def test_value_not_representing_two():

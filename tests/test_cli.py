@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chebkit import bounds, bqf, chebotarev, elliptic, explicit, progressions
-from chebkit.cli import SUBCOMMANDS, build_parser, run
+from chebkit.cli import SUBCOMMANDS, build_parser, main, run
 from chebkit.sieve import li, primes_upto, segmented_primes
 from chebkit.weights import (check_decay_bound, check_growth_bound,
                              check_left_line_bound, check_real_axis_bound,
@@ -385,6 +385,59 @@ def test_every_subcommand_runs():
     for cmd, argv in SAMPLES.items():
         code, text = run([cmd, *argv])
         assert code == 0, (cmd, text)
+
+
+def _exit_status(argv, monkeypatch, capsys):
+    """(exit status, stdout, stderr) of the console entry point; an
+    exception that escapes it fails the test with its traceback."""
+    monkeypatch.setattr(sys, "argv", ["chebkit", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    return exc.value.code, *capsys.readouterr()
+
+
+def _replaced(argv, flag, value):
+    i = argv.index(flag)
+    return [*argv[:i + 1], value, *argv[i + 2:]]
+
+
+_NON_FINITE = [[cmd, *_replaced(argv, "--x", "inf")] for cmd, argv in SAMPLES.items()
+               if "--x" in argv] + [
+    ["bqf", *_replaced(SAMPLES["bqf"], "--x", "1e400")],
+    ["mellin-check", *_replaced(SAMPLES["mellin-check"], "--t-max", "inf")],
+    ["pi-ap", *SAMPLES["pi-ap"], "--slack", "nan"],
+    ["bounds", *SAMPLES["bounds"], "--eta=-inf"],
+    ["lang-trotter", *SAMPLES["lang-trotter"], "--checkpoints", "100,nan"],
+]
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE, ids=" ".join)
+def test_non_finite_values_exit_2(argv, monkeypatch, capsys):
+    code, _, err = _exit_status(argv, monkeypatch, capsys)
+    assert code == 2 and "is not a finite number" in err and "Traceback" not in err
+
+
+def test_non_finite_config_values_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    # values of flags the command line leaves out, one of them a required flag
+    for key, argv in (("slack", ["pi-ap", *SAMPLES["pi-ap"]]),
+                      ("eta", ["bounds", *SAMPLES["bounds"]]),
+                      ("checkpoints", ["bqf", *SAMPLES["bqf"]]),
+                      ("x", ["pi-ap", "--q", "7", "--a", "3"])):
+        cfg.write_text(f"{key} = nan\n")
+        code, _, err = _exit_status(["--config", str(cfg), *argv], monkeypatch, capsys)
+        assert code == 2 and "'nan' is not a finite number" in err, (key, err)
+
+
+def test_oversized_integers_end_cleanly(monkeypatch, capsys):
+    # the modulus does not fit in int64; every prime <= x is its own residue
+    code, out, _ = _exit_status(["pi-ap", "--q", str(10**23), "--a", "1", "--x", "100"],
+                                monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["count"] == 0
+    D = 10**23 + 3          # class_number would try about 10^22 (a, b) pairs
+    code, _, err = _exit_status(["bqf", "--D", str(D), "--form", f"1,1,{(D + 1) // 4}",
+                                 "--x", "100"], monkeypatch, capsys)
+    assert code == 2 and err.startswith("error: ") and "class-number budget" in err
 
 
 # Runs CLI invocations under a profiler and prints every Python function

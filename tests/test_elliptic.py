@@ -150,6 +150,19 @@ def test_frobenius_traces_validates_its_primes():
             trace_of_frobenius(E, int(p), "charsum").a_p for p in ps]
 
 
+def test_trace_of_frobenius_refuses_a_composite_p():
+    E = CurveModel(1, 1)                # disc factor 31: 25 and 1001 = 7 11 13 pass as good
+    for p in (25, 1001):
+        assert E.has_good_reduction(p)
+        for method in ("auto", "bsgs", "charsum"):
+            with pytest.raises(DomainError, match="prime"):
+                trace_of_frobenius(E, p, method)
+    # past the lanes a composite keeps its CapacityError: 2^31 + 1 = 3 * 715827883
+    assert E.has_good_reduction(2**31 + 1)
+    with pytest.raises(CapacityError):
+        trace_of_frobenius(E, 2**31 + 1)
+
+
 def test_charsum_refuses_primes_past_its_table_limit():
     # 2^28 + 3 is the first prime past the limit; (1, 1) has good reduction there
     E, p = CurveModel(1, 1), 2**28 + 3

@@ -66,6 +66,8 @@ COPRIME_RESIDUES = st.integers(min_value=3, max_value=200).flatmap(
 @example((7, 3), 3000)
 @example((8, 5), 3000)
 @example((12, 7), 3000)
+@example((20, 3), 3000)
+@example((36, 5), 3000)
 @example((16, 3), 3000)
 @example((32, 7), 3000)
 @example((48, 5), 3000)

@@ -5,6 +5,7 @@ Each case runs in both report formats and must reproduce the file
 key or formatting shows up as a failure here.
 """
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,11 @@ def test_every_golden_file_has_a_case():
     expected = {f"{name}.{fmt}" for name, fmt in GOLDENS}
     assert sorted(path.name for path in GOLDEN_DIR.iterdir()
                   if path.name not in expected) == []
+
+
+def test_reports_raise_no_warning():
+    # a RuntimeWarning (an overflow, a nan) in any golden run is a failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, fmt in GOLDENS:
+            report_bytes(CASES[name], fmt)

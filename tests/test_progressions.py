@@ -47,6 +47,12 @@ def test_pi_ap_modulus_one_counts_all():
         assert counts.tolist() == expect and counts.dtype == np.int64
 
 
+def test_pi_ap_modulus_past_x_and_int64():
+    # with q > x each prime is its own residue: only p = a can count
+    for a, expect in ((1, 0), (97, 1), (91, 0), (101, 0), (10**23 - 1, 0)):
+        assert pi_ap(APQuery(q=10**23, a=a, x=100)) == expect, a
+
+
 def test_residue_counts_agree_with_pi_ap():
     for q in (3, 4, 12, 30):
         counts = residue_counts(q, 10_000)

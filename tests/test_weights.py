@@ -104,8 +104,9 @@ def simpson_transform_oracle(f_vals_fn, spec, z, step=1e-4):
 # ----------------------------------------------------------- validation
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        WeightSpec(x=2.0, ell=2, eps=0.1)
+    for x in (2.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            WeightSpec(x=x, ell=2, eps=0.1)
     with pytest.raises(DomainError):
         WeightSpec(x=10.0, ell=0, eps=0.1)
     with pytest.raises(DomainError):
