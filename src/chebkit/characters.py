@@ -16,7 +16,9 @@ from itertools import product
 import numpy as np
 
 from .arith import factorize
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+_TABLE_BUDGET = 2 ** 28      # bytes of one (phi(q), q) complex table: prime q up to 4093
 
 
 def _multiplicative_order(g: int, modulus: int, group_order: int) -> int:
@@ -77,9 +79,17 @@ def _dlog_table(g: int, modulus: int, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def character_table(q: int) -> np.ndarray:
-    """All phi(q) Dirichlet characters mod q as a read-only (phi(q), q) complex array."""
+    """All phi(q) Dirichlet characters mod q as a read-only (phi(q), q) complex
+    array; a table past ``_TABLE_BUDGET`` bytes raises ``CapacityError``."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
+    # phi(q) >= sqrt(q / 2), so past q = 2^20 the table is over budget unfactored
+    phi = q
+    for p in factorize(q) if q <= 2 ** 20 else ():
+        phi = phi // p * (p - 1)
+    if 16 * phi * q > _TABLE_BUDGET:
+        raise CapacityError(f"the character table mod {q} is past the budget of "
+                            f"{_TABLE_BUDGET} bytes")
     comps = _cyclic_components(q)
     units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
     orders = [d for (_, d, _) in comps]

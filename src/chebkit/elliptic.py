@@ -5,8 +5,11 @@ Frobenius quadratic field.
 Traces come from a full quadratic-character sum for small primes and, for
 the others, from one baby-step giant-step order search in the Hasse
 interval that runs over all primes at once, one numpy lane per prime.
-Ambiguous searches resample points and finally fall back to the character
-sum, so every reported trace is exact.
+Under the 'auto' method a curve with complex multiplication is traced in
+closed form first: a_p = 0 at inert primes, and at split primes a
+Cornacchia candidate that one point check singles out.  Ambiguous searches
+resample points and finally fall back to the character sum, so every
+reported trace is exact.
 """
 
 from __future__ import annotations
@@ -16,20 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, squarefree_kernel
+from .arith import squarefree_kernel
 from .errors import CapacityError, DomainError
 from .sieve import CountSeries, primes_upto
 
 _CHARSUM_CUTOFF = 1_000
 _CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
 _CHARSUM_CHUNK = 2 ** 16      # x per chunk of its sweep: int64 arrays of 512 kB
-_BSGS_RESAMPLE_LIMIT = 8
-_BLOCK_ENTRIES = 2 ** 16      # baby steps per block of BSGS lanes
+_BSGS_RESAMPLE_LIMIT = 8      # points a lane draws (BSGS or CM check) before the character sum
+_BLOCK_ENTRIES = 2 ** 16      # baby steps per block of BSGS lanes, lanes per CM block
 _LANE_LIMIT = 2 ** 31
 _TRACE_CACHE_CURVES = 6      # a second pass over six curves re-traces none
-# the j-invariants in Q of the curves with complex multiplication
-_CM_J_INVARIANTS = (0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000,
-                    16581375, -884736000, -147197952000, -262537412640768000)
+# the j-invariants in Q of the curves with complex multiplication, each with
+# the discriminant D_K of its CM field K
+_CM_FIELDS = {0: -3, 54000: -3, -12288000: -3, 1728: -4, 287496: -4, -3375: -7,
+              16581375: -7, 8000: -8, -32768: -11, -884736: -19, -884736000: -43,
+              -147197952000: -67, -262537412640768000: -163}
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,18 @@ class CurveModel:
         return 4 * self.A ** 3 + 27 * self.B ** 2
 
     @property
-    def has_cm(self) -> bool:
-        """The curve has complex multiplication: its j-invariant
-        6912 A^3 / (4A^3 + 27B^2), compared exactly, is one of the 13
-        rational CM j-invariants."""
+    def _cm_disc(self) -> int | None:
+        """D_K of the CM field when the j-invariant 6912 A^3 / (4A^3 + 27B^2),
+        compared exactly, is one of the 13 rational CM j-invariants; else None."""
         num, den = 6912 * self.A ** 3, self.disc_factor
-        return any(num == j * den for j in _CM_J_INVARIANTS)
+        return next((D for j, D in _CM_FIELDS.items() if num == j * den), None)
+
+    @property
+    def has_cm(self) -> bool:
+        """The curve has complex multiplication: its j-invariant is one of
+        the 13 rational CM j-invariants.  ``frobenius_traces`` settles such
+        curves in closed form under 'auto', never under 'bsgs' or 'charsum'."""
+        return self._cm_disc is not None
 
     def has_good_reduction(self, p):
         """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
@@ -105,10 +116,25 @@ def _baby_steps(p) -> int:
 
 def _powmod(b, e, p):
     r = np.ones_like(p)
-    while e.any():
-        r = np.where(e & 1 == 1, r * b % p, r)
-        b, e = b * b % p, e >> 1
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        r = np.where(e >> bit & 1 == 1, r * b % p, r)
+        b = b * b % p
     return r
+
+
+def _is_prime(n):
+    """Elementwise primality of an int64 array below 2^31: a strong probable
+    prime to the bases 2, 7 and 61, which is exact below 4,759,123,141."""
+    m = np.where((n > 1) & (n % 2 == 1), n, 9)     # 9 stands in for 1 and the even n
+    low = (m - 1) & (1 - m)                        # m - 1 = d low, d odd, low = 2^s
+    s = np.log2(low).astype(np.int64)
+    b = np.array([[2], [7], [61]]) % m             # one row per base
+    x = _powmod(b, (m - 1) // low, m)
+    ok = (b == 0) | (x == 1) | (x == m - 1)
+    for i in range(1, int(s.max(initial=0))):
+        x = x * x % m
+        ok |= (x == m - 1) & (i < s)
+    return (n == 2) | ((n > 1) & (n % 2 == 1) & ok.all(axis=0))
 
 
 def _dbl(P, a, p):
@@ -217,35 +243,131 @@ def _point_orders(p, a, P, lo, width, M):
     return lane[ok], m[ok], complete
 
 
-_DRAW = 0x9E3779B1       # round r draws x = (r + 1) _DRAW mod p, spread over F_p
+_DRAW = 0x9E3779B1       # draw r takes x = (r + 1) _DRAW mod p, spread over F_p
 
 
-def _bsgs_block(p, A, B, M):
-    """(a_p, solved) for one block of lanes.  Round r draws x, sets
-    f = x^3 + Ax + B and searches the order of (f x, f^2) on
-    y^2 = x^3 + A f^2 x + B f^3: E if f is a square, else its quadratic
-    twist E'.  #E' lies in the Hasse interval and is a multiple of the
-    point's order, so when a complete search finds exactly one multiple m
-    there, m = #E' and a_p = chi(f)(p + 1 - m).  Other lanes draw again."""
+def _draw(p, A, B, r):
+    """(f, chi(f), a, Q) for draw r: f = x^3 + Ax + B and the point
+    Q = (f x, f^2) on y^2 = x^3 + a x + B f^3, a = A f^2: E if f is a
+    square, else its quadratic twist E', so #E_f = p + 1 - chi(f) a_p."""
+    x = (r + 1) * _DRAW % p
+    f = (x * x % p * x + A * x + B) % p
+    ff = f * f % p
+    return f, np.where(_powmod(f, (p - 1) // 2, p) == 1, 1, -1), A * ff % p, (f * x % p, ff)
+
+
+def _bsgs_round(p, A, B, r, M):
+    """(a_p, solved) for one block of lanes on draw r.  #E_f lies in the
+    Hasse interval and is a multiple of the order of Q, so when a complete
+    search finds exactly one multiple m there, m = #E_f."""
     half = np.sqrt(4 * p).astype(np.int64)          # isqrt: exact below 2^52
-    ap, solved, live = np.zeros_like(p), np.zeros(p.size, bool), np.arange(p.size)
-    for r in range(_BSGS_RESAMPLE_LIMIT):       # live lanes are not solved yet
-        q, h, a = p[live], half[live], A[live]
-        x = (r + 1) * _DRAW % q
-        f = (x * x % q * x + a * x + B[live]) % q
-        ff = f * f % q
-        lanes, ms, complete = _point_orders(q, a * ff % q, (f * x % q, ff), q + 1 - h, 2 * h + 1, M)
-        m = np.zeros_like(q)
-        m[lanes] = ms           # read only where the lane has one hit
-        count = np.bincount(lanes, minlength=live.size)
-        one = complete & (count == 1) & (f != 0)        # f = 0: a singular twist
-        chi = np.where(_powmod(f, (q - 1) // 2, q) == 1, 1, -1)
-        ap[live[one]] = (chi * (q + 1 - m))[one]
+    f, chi, a, Q = _draw(p, A, B, r)
+    lanes, ms, complete = _point_orders(p, a, Q, p + 1 - half, 2 * half + 1, M)
+    m = np.zeros_like(p)
+    m[lanes] = ms           # read only where the lane has one hit
+    one = complete & (np.bincount(lanes, minlength=p.size) == 1) & (f != 0)   # f = 0: singular
+    return chi * (p + 1 - m), one
+
+
+def _sqrt_mod(a, p):
+    """A square root of each quadratic residue a mod an odd prime p, by a
+    lockstep Tonelli-Shanks with p - 1 = q 2^s; only the lanes with s > 1
+    search for a non-residue."""
+    low = (p - 1) & (1 - p)
+    s, q = np.log2(low).astype(np.int64), (p - 1) // low
+    y = _powmod(a, (q - 1) // 2, p)
+    x, t = y * a % p, y * y % p * a % p     # x^2 = a t, and t^(2^(s-1)) = 1
+    z, need, n = np.zeros_like(p), np.flatnonzero(s > 1), 2
+    while need.size:
+        pn = p[need]
+        found = _powmod(np.full_like(pn, n), (pn - 1) // 2, pn) == pn - 1
+        z[need[found]] = n
+        need, n = need[~found], n + 1 + (n > 2)     # the least non-residue is a prime
+    c = _powmod(z, q, p)
+    for j in range(int(s.max(initial=1)) - 1, 0, -1):     # c has order 2^(j+1) on lanes s > j
+        k = np.flatnonzero(s > j)
+        pk, b = p[k], t[k]
+        for _ in range(j - 1):
+            b = b * b % pk
+        cc, flip = c[k] * c[k] % pk, b != 1         # flip: t has order 2^j
+        x[k] = np.where(flip, x[k] * c[k] % pk, x[k])
+        t[k] = np.where(flip, t[k] * cc % pk, t[k])
+        c[k] = cc
+    return x
+
+
+def _cornacchia(p, D):
+    """(t, v) with 4p = t^2 + |D| v^2 at primes p split in the field of
+    discriminant D, by Euclid on 2p and a square root of D mod p (Cohen,
+    Algorithm 1.5.3).  Unchecked: a caller verifies the identity."""
+    b = _sqrt_mod(D % p, p)
+    a, b, bound = 2 * p, np.where(b % 2 == D % 2, b, p - b), np.sqrt(4 * p).astype(np.int64)
+    while (b > bound).any():
+        big = b > bound
+        a, b = np.where(big, b, a), np.where(big, a % np.where(big, b, 1), b)
+    return b, np.sqrt((4 * p - b * b) // -D).astype(np.int64)
+
+
+def _cm_traces(p, A, B, D):
+    """(a_p, solved) at good primes p >= 5 of a curve with CM by the field
+    K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At split p,
+    a_p is the trace of u pi for a unit u of O_K, where 4p = t^2 + |D| v^2:
+    one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2 for D = -3.  A lane
+    takes the one candidate c with (p + 1 - chi(f) c) Q = O for the point Q
+    of ``_draw``, comparing (p + 1) Q with |c| Q; with none or several, or
+    (p + 1) Q = O, it draws again.  A BSGS round on that point would fail
+    too, so ramified lanes and lanes that no draw settles stay open."""
+    ap, solved = np.zeros_like(p), np.zeros(p.size, bool)
+    legendre = _powmod(D % p, (p - 1) // 2, p)
+    solved[legendre == p - 1] = True
+    live = np.flatnonzero(legendre == 1)
+    t, v = _cornacchia(p[live], D)
+    live, t, v = (c[t * t - D * v * v == 4 * p[live]] for c in (live, t, v))
+    mags = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
+    k = len(mags)
+    for r in range(_BSGS_RESAMPLE_LIMIT):
+        q = p[live]
+        f, chi, a, Q = _draw(q, A[live], B[live], r)
+        R = _mul(q + 1, Q, _dbl((*Q, np.ones_like(q)), a, q), a, q)
+        one = (R[2] != 0) & (f != 0)        # (p + 1) Q = O: every c with c Q = O would match
+        q, a, Q, R, m = *(np.tile(c, k) for c in (q, a, Q, R)), mags.ravel()  # candidate-major
+        C = _mul(m, Q, _dbl((*Q, np.ones_like(q)), a, q), a, q)
+        same_x = (C[2] != 0) & ((R[0] * C[2] - C[0] * R[2]) % q == 0)   # R != O = |c| Q
+        yr, yc = R[1] * C[2] % q, C[1] * R[2] % q
+        plus, minus = same_x & (yr == yc), same_x & ((yr + yc) % q == 0)   # R = C, R = -C
+        one &= (plus.astype(np.int64) + minus).reshape(k, -1).sum(axis=0) == 1
+        c = (m * plus - m * minus).reshape(k, -1).sum(axis=0)
+        ap[live] = chi * c
         solved[live[one]] = True
-        live = live[~one]
+        live, mags = live[~one], mags[:, ~one]
         if not live.size:
             break
     return ap, solved
+
+
+def _traces(curve: CurveModel, ps: np.ndarray, method: str) -> np.ndarray:
+    """``frobenius_traces`` on checked primes: ascending good primes < 2^31."""
+    cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}[method]
+    out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
+    A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
+    todo = np.arange(np.searchsorted(ps, cutoff), ps.size)
+    if method == "auto" and curve.has_cm:
+        for i in range(0, todo.size, _BLOCK_ENTRIES):
+            block = todo[i:i + _BLOCK_ENTRIES]
+            out[block], solved[block] = _cm_traces(ps[block], A[block], B[block], curve._cm_disc)
+    else:
+        for r in range(_BSGS_RESAMPLE_LIMIT):   # one round on every open lane, then resample
+            i = 0
+            while i < todo.size:        # blocks of about _BLOCK_ENTRIES baby steps
+                M = _baby_steps(ps[todo[min(i + _BLOCK_ENTRIES // _baby_steps(ps[todo[i]]),
+                                            todo.size) - 1]])
+                block = todo[i:i + _BLOCK_ENTRIES // M]
+                out[block], solved[block] = _bsgs_round(ps[block], A[block], B[block], r, M)
+                i += block.size
+            todo = todo[~solved[todo]]
+    for k in np.flatnonzero(~solved):       # below the cutoff, or left open
+        out[k] = _trace_charsum(curve, int(ps[k]))
+    return out
 
 
 def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndarray:
@@ -254,47 +376,36 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
     runs one lockstep baby-step giant-step search over blocks of primes and
     falls back to the character sum where no round's point settles #E;
-    'auto' takes character sums below ``_CHARSUM_CUTOFF``.  Primes
+    'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
+    with complex multiplication, settles the others in closed form: a_p = 0
+    at inert primes, and at split ones the Cornacchia candidate that a point
+    singles out, where a lane no point settles takes the character sum.
+    'bsgs' and 'charsum' never use the closed form.  A composite raises
+    ``DomainError``; primes
     >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64;
     so does a character sum at p > 2^28 (``_CHARSUM_LIMIT``)."""
     ps = np.asarray(primes)
-    cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}.get(method)
-    if cutoff is None:
+    if method not in ("auto", "bsgs", "charsum"):
         raise DomainError(f"unknown method {method!r}")
     if ps.size and ps.max() >= _LANE_LIMIT:
         raise CapacityError(f"primes must be below 2^31, got {ps.max()}")
     ps = ps.astype(np.int64)
-    if np.any(ps[1:] <= ps[:-1]) or not np.all(curve.has_good_reduction(ps)):
-        raise DomainError("primes must be ascending and of good reduction")
-    out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
-    A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
-    i = int(np.searchsorted(ps, cutoff))
-    while i < ps.size:          # blocks of about _BLOCK_ENTRIES baby steps
-        M = _baby_steps(ps[min(i + _BLOCK_ENTRIES // _baby_steps(ps[i]), ps.size) - 1])
-        block = slice(i, i + _BLOCK_ENTRIES // M)
-        out[block], solved[block] = _bsgs_block(ps[block], A[block], B[block], M)
-        i = block.stop
-    for k in np.flatnonzero(~solved):       # below the cutoff, or left open by BSGS
-        out[k] = trace_of_frobenius(curve, int(ps[k]), "charsum").a_p
-    return out
+    if (np.any(ps[1:] <= ps[:-1]) or not np.all(curve.has_good_reduction(ps))
+            or not _is_prime(ps).all()):
+        raise DomainError("primes must be ascending primes of good reduction")
+    return _traces(curve, ps, method)
 
 
 def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> FrobeniusRecord:
-    """Exact a_p at one prime: the character sum for 'charsum', else
-    ``frobenius_traces`` on one lane.  Bad-reduction primes give a record
-    with ``skipped=True``; a composite p below 2^31 raises ``DomainError``.
-    ``CapacityError`` comes from the callee: ``_trace_charsum`` refuses
-    p > 2^28, and ``frobenius_traces`` primes >= 2^31."""
+    """Exact a_p at one prime: ``frobenius_traces`` on one lane.
+    Bad-reduction primes give a record with ``skipped=True``; a composite p
+    below 2^31 raises ``DomainError``, and ``CapacityError`` comes from
+    ``frobenius_traces`` for p >= 2^31 and from a character sum at p > 2^28."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
         return FrobeniusRecord(p=p, a_p=0, disc_part=0, skipped=True)
-    if p < _LANE_LIMIT and factorize(p) != {p: 1}:    # its trial divisors stay below 2^16
-        raise DomainError(f"p must be a prime, got {p}")
-    if method == "charsum":
-        a = _trace_charsum(curve, p)
-    else:
-        a = int(frobenius_traces(curve, [p], method)[0])
+    a = int(frobenius_traces(curve, [p], method)[0])
     return FrobeniusRecord(p=p, a_p=a, disc_part=squarefree_kernel(a * a - 4 * p))
 
 
@@ -305,13 +416,15 @@ def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
     """(good primes <= x, their traces), cached for the last
     ``_TRACE_CACHE_CURVES`` curves used.  A query past the cached horizon
     traces only the primes beyond it."""
+    if x >= _LANE_LIMIT:        # before the sieve: its table to x would be refused anyway
+        raise CapacityError(f"trace tables stop below 2^31, got x = {x}")
     key, empty = (curve.A, curve.B), np.empty(0, dtype=np.int64)
     top, ps, aps = _TRACE_CACHE.get(key, (1, empty, empty))
     if x > top:
         fresh = primes_upto(x)
         fresh = fresh[fresh > top]
         fresh = fresh[curve.has_good_reduction(fresh)]
-        ps, aps, top = np.append(ps, fresh), np.append(aps, frobenius_traces(curve, fresh)), x
+        ps, aps, top = np.append(ps, fresh), np.append(aps, _traces(curve, fresh, "auto")), x
     # replaced only after the sieve and traces succeed: a refused query keeps it
     _TRACE_CACHE.pop(key, None)
     _TRACE_CACHE[key] = (top, ps, aps)

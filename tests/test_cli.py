@@ -353,12 +353,13 @@ def test_lang_trotter_flags_cm_from_the_j_invariant():
 
 
 def test_memory_budget_enforced():
-    # the sieve's fixed 2^33 guard refuses x = 1e10 before any table is built
-    for argv in (["pi-ap", "--q", "4", "--a", "1"],
-                 ["lang-trotter", "--curve", "1,1"]):
+    # x = 1e10 is refused before any table is built: by the sieve's fixed
+    # 2^33 guard, and for a trace table by its lanes' limit of 2^31
+    for argv, message in ((["pi-ap", "--q", "4", "--a", "1"], "exceeds memory budget 8589934592"),
+                          (["lang-trotter", "--curve", "1,1"], "trace tables stop below 2^31")):
         code, text = run([*argv, "--x", "1e10"])
         assert code == 2
-        assert "exceeds memory budget 8589934592" in text
+        assert message in text
     # a command that sieves nothing takes any x
     code, _ = run(["weights-verify", "--x", "1e10", "--ell", "2", "--eps", "0.1",
                    "--samples", "5"])
@@ -440,6 +441,20 @@ def test_oversized_integers_end_cleanly(monkeypatch, capsys):
     assert code == 2 and err.startswith("error: ") and "class-number budget" in err
 
 
+def test_requests_past_a_table_budget_exit_2_before_they_allocate(monkeypatch, capsys):
+    # a trace table to 4e9 and the characters mod 20011 (about 6.4 GB of
+    # complex values) are refused before the sieve or the table starts
+    def refuse(*args):
+        raise AssertionError("allocation started")
+    monkeypatch.setattr(elliptic, "primes_upto", refuse)
+    monkeypatch.setattr(explicit, "prime_powers", refuse)
+    for argv, reason in ((["lang-trotter", "--curve", "0,1", "--x", "4e9"], "2^31"),
+                         (["mellin-check", "--q", "20011", "--char-index", "5", "--x", "1e4"],
+                          "budget")):
+        code, _, err = _exit_status(argv, monkeypatch, capsys)
+        assert code == 2 and err.startswith("error: ") and reason in err, (argv, err)
+
+
 # Runs CLI invocations under a profiler and prints every Python function
 # entered, as (file, first line) pairs.
 _TRACE_SCRIPT = """
@@ -476,9 +491,12 @@ def test_operation_coverage_table(tmp_path):
         chebotarev.weighted_prime_sum, chebotarev.density_ratio_report,
         explicit.contour_sum, explicit.tail_bound, explicit.zeta_log_deriv,
         explicit.class_log_deriv, explicit.character_log_deriv,
-        elliptic.trace_of_frobenius, elliptic.frobenius_traces, elliptic.trace_match_count,
-        elliptic.frobenius_field_count, elliptic.growth_shape_report,
-        elliptic.read_curves,
+        elliptic.trace_match_count, elliptic.frobenius_field_count,
+        elliptic.growth_shape_report, elliptic.read_curves,
+        # the trace kernel behind frobenius_traces and trace_of_frobenius: the
+        # CLI's primes come from the sieve, so its trace tables skip their
+        # primality check (test_elliptic calls both entry points)
+        elliptic._traces, elliptic._trace_charsum,
     }
     # trace a fresh interpreter: in a warm one the sieve and trace-table
     # caches would skip the calls that fill them

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebkit import elliptic
-from chebkit.arith import factorize, squarefree_kernel
+from chebkit.arith import factorize, kronecker, squarefree_kernel
 from chebkit.elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                               frobenius_traces, growth_shape_report, read_curves,
                               trace_match_count, trace_of_frobenius, trace_table)
@@ -15,6 +15,18 @@ from chebkit.sieve import CountSeries, primes_upto
 
 TEST_CURVES = [CurveModel(1, 1), CurveModel(-1, 1), CurveModel(2, 3),
                CurveModel(5, 7), CurveModel(-7, 10)]
+# (j, D_K): the 13 rational CM j-invariants, each with the discriminant of its CM field
+CM_FIELDS = [(0, -3), (1728, -4), (-3375, -7), (8000, -8), (-32768, -11), (54000, -3),
+             (287496, -4), (-884736, -19), (-12288000, -3), (16581375, -7),
+             (-884736000, -43), (-147197952000, -67), (-262537412640768000, -163)]
+
+
+def cm_curve(j):
+    """y^2 = x^3 + 1 (j = 0), y^2 = x^3 - x (j = 1728), and for every other
+    rational CM j-invariant the curve A = 3j(1728 - j), B = 2j(1728 - j)^2."""
+    if j in (0, 1728):
+        return CurveModel(0, 1) if j == 0 else CurveModel(-1, 0)
+    return CurveModel(3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
 
 
 # ------------------------------------------------------------- oracles
@@ -113,16 +125,97 @@ def test_batched_bsgs_agrees_with_charsum_on_every_small_prime(monkeypatch, A, B
     # step centres all occur among these primes
     E = CurveModel(A, B)
     ps = np.array([p for p in SMALL_PRIMES if p < 20_000 and E.has_good_reduction(p)])
-    expect = [trace_of_frobenius(E, int(p), method="charsum").a_p for p in ps]
-    fallbacks, charsum = [], elliptic.trace_of_frobenius
+    expect = frobenius_traces(E, ps, method="charsum").tolist()
+    fallbacks, charsum = [], elliptic._trace_charsum
 
-    def spy(curve, p, method="auto"):
+    def spy(curve, p):
         fallbacks.append(p)
-        return charsum(curve, p, method)
-    monkeypatch.setattr(elliptic, "trace_of_frobenius", spy)
+        return charsum(curve, p)
+    monkeypatch.setattr(elliptic, "_trace_charsum", spy)
     assert frobenius_traces(E, ps, method="bsgs").tolist() == expect
     # a lane that no round settles ends in the character sum: keep that rare
     assert sum(p >= 1000 for p in fallbacks) <= 3, fallbacks
+
+
+PRIMES_5E4 = primes_upto(50_000)
+
+
+@pytest.mark.parametrize("j,D", CM_FIELDS, ids=[str(j) for j, _ in CM_FIELDS])
+def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
+    E = cm_curve(j)
+    ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
+    searched, fallbacks = [], []
+    orders, charsum = elliptic._point_orders, elliptic._trace_charsum
+
+    def spy_orders(p, *args):
+        searched.extend(p.tolist())
+        return orders(p, *args)
+
+    def spy_charsum(curve, p):
+        fallbacks.append(p)
+        return charsum(curve, p)
+    monkeypatch.setattr(elliptic, "_point_orders", spy_orders)
+    monkeypatch.setattr(elliptic, "_trace_charsum", spy_charsum)
+    auto = frobenius_traces(E, ps)
+    # the closed form settles every inert lane and all but 1% of the split
+    # ones; the lanes below the cutoff take character sums as before
+    above = [p for p in ps.tolist() if p >= elliptic._CHARSUM_CUTOFF]
+    split = [p for p in above if kronecker(D, p) == 1]
+    open_lanes = [p for p in searched + fallbacks if p >= elliptic._CHARSUM_CUTOFF]
+    assert all(kronecker(D, p) == 1 for p in open_lanes)
+    assert len(open_lanes) <= 0.01 * len(split)
+    assert (auto[np.isin(ps, above)] == 0).tolist() == [kronecker(D, p) == -1 for p in above]
+    monkeypatch.undo()
+    assert np.array_equal(auto, frobenius_traces(E, ps, "bsgs"))
+    small = ps < 5_000
+    assert np.array_equal(auto[small], frobenius_traces(E, ps[small], "charsum"))
+
+
+@pytest.mark.parametrize("A,B", [(4, 0), (3, 8), (0, -3), (-7, 0), (-7, 5), (0, -9)])
+def test_benchmark_curves_agree_with_bsgs(A, B):
+    # the six curves of the frobenius benchmark at seed 1, four with CM
+    E = CurveModel(A, B)
+    ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
+    assert np.array_equal(frobenius_traces(E, ps), frobenius_traces(E, ps, "bsgs"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["j0", "j1728"]), st.integers(min_value=-10**6, max_value=10**6),
+       st.lists(st.sampled_from([p for p in SMALL_PRIMES if p > 1000]),
+                min_size=1, max_size=8, unique=True))
+def test_cm_closed_form_on_random_twists(kind, coeff, primes):
+    E = CurveModel(0, coeff or 1) if kind == "j0" else CurveModel(coeff or 1, 0)
+    ps = np.array(sorted(p for p in primes if E.has_good_reduction(p)), dtype=np.int64)
+    assert np.array_equal(frobenius_traces(E, ps), frobenius_traces(E, ps, "charsum"))
+
+
+def test_is_prime_matches_the_sieve():
+    n = np.arange(-5, 100_000, dtype=np.int64)
+    assert np.array_equal(np.flatnonzero(elliptic._is_prime(n)) - 5, primes_upto(100_000))
+    # Carmichael numbers, strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5;
+    # products of the largest primes whose squares stay below 2^31; and 2^31 - 1
+    big = primes_upto(46_340)[-3:]
+    composites = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 3277, 1373653,
+                  25326001] + [int(a * b) for a in big for b in big]
+    assert not elliptic._is_prime(np.array(composites)).any()
+    assert elliptic._is_prime(np.array([2**31 - 1])).all()
+
+
+def test_frobenius_traces_refuses_composites():
+    # the closed form would give an "inert" composite a_p = 0 without the check
+    for E in (CurveModel(1, 1), CurveModel(0, 1)):
+        for bad in ([25], [1001], [997, 1003]):
+            for method in ("auto", "bsgs", "charsum"):
+                with pytest.raises(DomainError, match="prime"):
+                    frobenius_traces(E, bad, method)
+
+
+def test_trace_table_refuses_x_past_the_lanes_before_it_sieves(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n}")
+    monkeypatch.setattr(elliptic, "primes_upto", no_sieve)
+    with pytest.raises(CapacityError):
+        trace_table(CurveModel(0, 1), 4 * 10**9)
 
 
 def test_frobenius_traces_validates_its_primes():
@@ -175,13 +268,13 @@ def test_charsum_refuses_primes_past_its_table_limit():
 
 def test_trace_cache_keeps_the_newest_curves(monkeypatch):
     monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
-    traced = []
+    traced, traces = [], elliptic._traces
 
-    def recording(curve, primes, method="auto"):
+    def recording(curve, primes, method):
         traced.append((curve.A, curve.B))
-        return frobenius_traces(curve, primes, method)
+        return traces(curve, primes, method)
 
-    monkeypatch.setattr(elliptic, "frobenius_traces", recording)
+    monkeypatch.setattr(elliptic, "_traces", recording)
     cap = elliptic._TRACE_CACHE_CURVES
     curves = [CurveModel(1, b) for b in range(1, cap + 3)]
     for E in curves:
@@ -190,6 +283,7 @@ def test_trace_cache_keeps_the_newest_curves(monkeypatch):
     traced.clear()
     ps, aps = trace_table(curves[-1], 200)
     assert traced == [] and np.array_equal(aps, frobenius_traces(curves[-1], ps))
+    traced.clear()      # the reference above ran through the spy too
     # a read makes its curve the newest, so the next eviction takes (1, 4)
     trace_table(curves[2], 150)
     trace_table(CurveModel(2, 1), 100)
@@ -224,13 +318,13 @@ def test_grown_trace_table_equals_cold_and_traces_only_new_primes(monkeypatch):
     monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
     cold = trace_table(E, 12_000)
     elliptic._TRACE_CACHE.clear()
-    traced = []
+    traced, traces = [], elliptic._traces
 
-    def recording(curve, primes, method="auto"):
+    def recording(curve, primes, method):
         traced.extend(np.asarray(primes).tolist())
-        return frobenius_traces(curve, primes, method)
+        return traces(curve, primes, method)
 
-    monkeypatch.setattr(elliptic, "frobenius_traces", recording)
+    monkeypatch.setattr(elliptic, "_traces", recording)
     first = trace_table(E, 3_000)
     assert traced == first[0].tolist() and 83 not in traced
     traced.clear()
@@ -331,13 +425,7 @@ def test_shape_report_ratios_finite_and_modes():
 
 
 def test_has_cm_reads_the_j_invariant():
-    # y^2 = x^3 + 1 (j = 0), y^2 = x^3 - x (j = 1728), and for every other
-    # rational CM j-invariant the curve A = 3j(1728 - j), B = 2j(1728 - j)^2
-    cm = [CurveModel(0, 1), CurveModel(-1, 0)]
-    cm += [CurveModel(3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
-           for j in (-3375, 8000, -32768, 54000, 287496, -884736, -12288000, 16581375,
-                     -884736000, -147197952000, -262537412640768000)]
-    assert all(E.has_cm for E in cm)
+    assert all(cm_curve(j).has_cm for j, _ in CM_FIELDS)
     assert not any(E.has_cm for E in TEST_CURVES)
 
 

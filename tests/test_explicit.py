@@ -12,7 +12,7 @@ from chebkit.chebotarev import (FULL, SPLIT, ConjClass, cyclotomic_field,
                                 weighted_prime_sum)
 from chebkit import explicit
 from chebkit.characters import character_table
-from chebkit.errors import DomainError
+from chebkit.errors import CapacityError, DomainError
 from chebkit.explicit import (LogDerivSeries, _evaluate_grid, character_log_deriv,
                               class_log_deriv, contour_sum, support_cap, tail_bound,
                               zeta_log_deriv)
@@ -267,6 +267,17 @@ def test_character_table_is_read_only():
     with pytest.raises(ValueError):
         table[1, 2] = 99
     assert character_table(5)[1, 2] == original != 99
+
+
+def test_character_table_refuses_past_its_budget(monkeypatch):
+    from chebkit import characters
+
+    def refuse(q):
+        raise AssertionError(f"built the components mod {q}")
+    monkeypatch.setattr(characters, "_cyclic_components", refuse)
+    for q in (4099, 20011, 10**18 + 3):      # 16 phi(q) q bytes past 2^28; 10^18 + 3 is prime
+        with pytest.raises(CapacityError):
+            character_table(q)
 
 
 @settings(max_examples=25, deadline=None)
