@@ -1,5 +1,5 @@
 """Elementary number-theoretic helpers: Kronecker symbol, factorization,
-squarefree kernels.  Scalar, exact, desk-scale."""
+Euler's phi, squarefree kernels.  Scalar, exact, desk-scale."""
 
 from __future__ import annotations
 
@@ -58,6 +58,15 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def euler_phi(q: int) -> int:
+    if q < 1:
+        raise DomainError("phi requires q >= 1")
+    result = q
+    for p in factorize(q):
+        result -= result // p
+    return result
 
 
 def squarefree_kernel(n: int) -> int:

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .arith import factorize
+from .arith import euler_phi, factorize
 from .errors import CapacityError, DomainError
 
 _TABLE_BUDGET = 2 ** 28      # bytes of one (phi(q), q) complex table: prime q up to 4093
@@ -84,9 +84,7 @@ def character_table(q: int) -> np.ndarray:
     if q < 1:
         raise DomainError("modulus must be >= 1")
     # phi(q) >= sqrt(q / 2), so past q = 2^20 the table is over budget unfactored
-    phi = q
-    for p in factorize(q) if q <= 2 ** 20 else ():
-        phi = phi // p * (p - 1)
+    phi = euler_phi(q) if q <= 2 ** 20 else q
     if 16 * phi * q > _TABLE_BUDGET:
         raise CapacityError(f"the character table mod {q} is past the budget of "
                             f"{_TABLE_BUDGET} bytes")

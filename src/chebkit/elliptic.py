@@ -90,13 +90,17 @@ class FrobeniusRecord:
 def _trace_charsum(curve: CurveModel, p: int) -> int:
     """a_p = -sum_x chi(x^3 + Ax + B) = #{x : f(x) != 0} - 2 #{x : f(x) a
     nonzero square}, from a table of the nonzero squares mod p, sweeping x
-    in chunks."""
+    in chunks.  The table also tests p: the x^2 with 0 < x < p/2 are
+    distinct and nonzero mod p just when p is an odd prime (mod a composite,
+    some such x has x^2 = 0, or 1 has a square root other than +-1)."""
     if p > _CHARSUM_LIMIT:
         raise CapacityError(f"character sums need p <= 2^28, got {p}")
     square = np.zeros(p, dtype=bool)
     for lo in range(1, p // 2 + 1, _CHARSUM_CHUNK):
         x = np.arange(lo, min(lo + _CHARSUM_CHUNK, p // 2 + 1), dtype=np.int64)
         square[x * x % p] = True
+    if p % 2 == 0 or np.count_nonzero(square[1:]) < p // 2:
+        raise DomainError(f"p must be a prime, got {p}")
     A, B, a_p = curve.A % p, curve.B % p, 0
     for lo in range(0, p, _CHARSUM_CHUNK):
         x = np.arange(lo, min(lo + _CHARSUM_CHUNK, p), dtype=np.int64)
@@ -122,14 +126,19 @@ def _powmod(b, e, p):
     return r
 
 
+def _two_adic(n):
+    """(s, d) with n - 1 = d 2^s, d odd, for each odd n > 1."""
+    low = (n - 1) & (1 - n)         # the lowest set bit of n - 1
+    return np.log2(low).astype(np.int64), (n - 1) // low
+
+
 def _is_prime(n):
     """Elementwise primality of an int64 array below 2^31: a strong probable
     prime to the bases 2, 7 and 61, which is exact below 4,759,123,141."""
     m = np.where((n > 1) & (n % 2 == 1), n, 9)     # 9 stands in for 1 and the even n
-    low = (m - 1) & (1 - m)                        # m - 1 = d low, d odd, low = 2^s
-    s = np.log2(low).astype(np.int64)
+    s, d = _two_adic(m)
     b = np.array([[2], [7], [61]]) % m             # one row per base
-    x = _powmod(b, (m - 1) // low, m)
+    x = _powmod(b, d, m)
     ok = (b == 0) | (x == 1) | (x == m - 1)
     for i in range(1, int(s.max(initial=0))):
         x = x * x % m
@@ -273,8 +282,7 @@ def _sqrt_mod(a, p):
     """A square root of each quadratic residue a mod an odd prime p, by a
     lockstep Tonelli-Shanks with p - 1 = q 2^s; only the lanes with s > 1
     search for a non-residue."""
-    low = (p - 1) & (1 - p)
-    s, q = np.log2(low).astype(np.int64), (p - 1) // low
+    s, q = _two_adic(p)
     y = _powmod(a, (q - 1) // 2, p)
     x, t = y * a % p, y * y % p * a % p     # x^2 = a t, and t^(2^(s-1)) = 1
     z, need, n = np.zeros_like(p), np.flatnonzero(s > 1), 2
@@ -345,8 +353,29 @@ def _cm_traces(p, A, B, D):
     return ap, solved
 
 
-def _traces(curve: CurveModel, ps: np.ndarray, method: str) -> np.ndarray:
-    """``frobenius_traces`` on checked primes: ascending good primes < 2^31."""
+def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndarray:
+    """Exact a_p = p + 1 - #E(F_p) for an ascending array of good primes.
+
+    'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
+    runs one lockstep baby-step giant-step search over blocks of primes and
+    falls back to the character sum where no round's point settles #E;
+    'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
+    with complex multiplication, settles the others in closed form: a_p = 0
+    at inert primes, and at split ones the Cornacchia candidate that a point
+    singles out, where a lane no point settles takes the character sum.
+    'bsgs' and 'charsum' never use the closed form.  A composite raises
+    ``DomainError``; primes >= 2^31 raise ``CapacityError``: the lanes
+    multiply residues in int64; so does a character sum at p > 2^28
+    (``_CHARSUM_LIMIT``)."""
+    ps = np.asarray(primes)
+    if method not in ("auto", "bsgs", "charsum"):
+        raise DomainError(f"unknown method {method!r}")
+    if ps.size and ps.max() >= _LANE_LIMIT:
+        raise CapacityError(f"primes must be below 2^31, got {ps.max()}")
+    ps = ps.astype(np.int64)
+    if (np.any(ps[1:] <= ps[:-1]) or not np.all(curve.has_good_reduction(ps))
+            or not _is_prime(ps).all()):
+        raise DomainError("primes must be ascending primes of good reduction")
     cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}[method]
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
     A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
@@ -366,46 +395,24 @@ def _traces(curve: CurveModel, ps: np.ndarray, method: str) -> np.ndarray:
                 i += block.size
             todo = todo[~solved[todo]]
     for k in np.flatnonzero(~solved):       # below the cutoff, or left open
-        out[k] = _trace_charsum(curve, int(ps[k]))
+        out[k] = trace_of_frobenius(curve, int(ps[k]), "charsum").a_p
     return out
 
 
-def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndarray:
-    """Exact a_p = p + 1 - #E(F_p) for an ascending array of good primes.
-
-    'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
-    runs one lockstep baby-step giant-step search over blocks of primes and
-    falls back to the character sum where no round's point settles #E;
-    'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
-    with complex multiplication, settles the others in closed form: a_p = 0
-    at inert primes, and at split ones the Cornacchia candidate that a point
-    singles out, where a lane no point settles takes the character sum.
-    'bsgs' and 'charsum' never use the closed form.  A composite raises
-    ``DomainError``; primes
-    >= 2^31 raise ``CapacityError``: the lanes multiply residues in int64;
-    so does a character sum at p > 2^28 (``_CHARSUM_LIMIT``)."""
-    ps = np.asarray(primes)
-    if method not in ("auto", "bsgs", "charsum"):
-        raise DomainError(f"unknown method {method!r}")
-    if ps.size and ps.max() >= _LANE_LIMIT:
-        raise CapacityError(f"primes must be below 2^31, got {ps.max()}")
-    ps = ps.astype(np.int64)
-    if (np.any(ps[1:] <= ps[:-1]) or not np.all(curve.has_good_reduction(ps))
-            or not _is_prime(ps).all()):
-        raise DomainError("primes must be ascending primes of good reduction")
-    return _traces(curve, ps, method)
-
-
 def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> FrobeniusRecord:
-    """Exact a_p at one prime: ``frobenius_traces`` on one lane.
-    Bad-reduction primes give a record with ``skipped=True``; a composite p
-    below 2^31 raises ``DomainError``, and ``CapacityError`` comes from
-    ``frobenius_traces`` for p >= 2^31 and from a character sum at p > 2^28."""
+    """Exact a_p at one prime: the character sum for 'charsum', else
+    ``frobenius_traces`` on one lane.  Bad-reduction primes give a record
+    with ``skipped=True``; a composite p raises ``DomainError``.
+    ``CapacityError`` comes from the callee: ``_trace_charsum`` refuses
+    p > 2^28, and ``frobenius_traces`` primes >= 2^31."""
     if p < 2:
         raise DomainError("p must be a prime")
     if not curve.has_good_reduction(p):
         return FrobeniusRecord(p=p, a_p=0, disc_part=0, skipped=True)
-    a = int(frobenius_traces(curve, [p], method)[0])
+    if method == "charsum":
+        a = _trace_charsum(curve, p)
+    else:
+        a = int(frobenius_traces(curve, [p], method)[0])
     return FrobeniusRecord(p=p, a_p=a, disc_part=squarefree_kernel(a * a - 4 * p))
 
 
@@ -424,7 +431,7 @@ def trace_table(curve: CurveModel, x: int) -> tuple[np.ndarray, np.ndarray]:
         fresh = primes_upto(x)
         fresh = fresh[fresh > top]
         fresh = fresh[curve.has_good_reduction(fresh)]
-        ps, aps, top = np.append(ps, fresh), np.append(aps, _traces(curve, fresh, "auto")), x
+        ps, aps, top = np.append(ps, fresh), np.append(aps, frobenius_traces(curve, fresh)), x
     # replaced only after the sieve and traces succeed: a refused query keeps it
     _TRACE_CACHE.pop(key, None)
     _TRACE_CACHE[key] = (top, ps, aps)

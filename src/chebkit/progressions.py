@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factorize
+from .arith import euler_phi
 from .bounds import brun_titchmarsh_constant
 from .chebotarev import _MAX_MODULUS
 from .errors import DomainError
@@ -37,15 +37,6 @@ class APQuery:
             raise DomainError("x must be >= 2")
         if math.gcd(self.a, self.q) != 1:
             raise DomainError(f"need gcd(a, q) = 1, got gcd({self.a}, {self.q})")
-
-
-def euler_phi(q: int) -> int:
-    if q < 1:
-        raise DomainError("phi requires q >= 1")
-    result = q
-    for p in factorize(q):
-        result -= result // p
-    return result
 
 
 def pi_ap(query: APQuery) -> int:

@@ -491,12 +491,9 @@ def test_operation_coverage_table(tmp_path):
         chebotarev.weighted_prime_sum, chebotarev.density_ratio_report,
         explicit.contour_sum, explicit.tail_bound, explicit.zeta_log_deriv,
         explicit.class_log_deriv, explicit.character_log_deriv,
-        elliptic.trace_match_count, elliptic.frobenius_field_count,
-        elliptic.growth_shape_report, elliptic.read_curves,
-        # the trace kernel behind frobenius_traces and trace_of_frobenius: the
-        # CLI's primes come from the sieve, so its trace tables skip their
-        # primality check (test_elliptic calls both entry points)
-        elliptic._traces, elliptic._trace_charsum,
+        elliptic.trace_of_frobenius, elliptic.frobenius_traces, elliptic.trace_match_count,
+        elliptic.frobenius_field_count, elliptic.growth_shape_report,
+        elliptic.read_curves,
     }
     # trace a fresh interpreter: in a warm one the sieve and trace-table
     # caches would skip the calls that fill them

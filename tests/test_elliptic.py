@@ -125,13 +125,13 @@ def test_batched_bsgs_agrees_with_charsum_on_every_small_prime(monkeypatch, A, B
     # step centres all occur among these primes
     E = CurveModel(A, B)
     ps = np.array([p for p in SMALL_PRIMES if p < 20_000 and E.has_good_reduction(p)])
-    expect = frobenius_traces(E, ps, method="charsum").tolist()
-    fallbacks, charsum = [], elliptic._trace_charsum
+    expect = [trace_of_frobenius(E, int(p), method="charsum").a_p for p in ps]
+    fallbacks, charsum = [], elliptic.trace_of_frobenius
 
-    def spy(curve, p):
+    def spy(curve, p, method="auto"):
         fallbacks.append(p)
-        return charsum(curve, p)
-    monkeypatch.setattr(elliptic, "_trace_charsum", spy)
+        return charsum(curve, p, method)
+    monkeypatch.setattr(elliptic, "trace_of_frobenius", spy)
     assert frobenius_traces(E, ps, method="bsgs").tolist() == expect
     # a lane that no round settles ends in the character sum: keep that rare
     assert sum(p >= 1000 for p in fallbacks) <= 3, fallbacks
@@ -201,6 +201,18 @@ def test_is_prime_matches_the_sieve():
     assert elliptic._is_prime(np.array([2**31 - 1])).all()
 
 
+def test_charsum_table_refuses_every_composite():
+    # the character sum's table of squares settles primality for free, so the
+    # per-prime fallback of frobenius_traces pays no second primality test
+    E, primes = CurveModel(1, 1), set(primes_upto(5_000).tolist())
+    for n in range(5, 5_000):
+        if n in primes:
+            elliptic._trace_charsum(E, n)
+        else:
+            with pytest.raises(DomainError, match="prime"):
+                elliptic._trace_charsum(E, n)
+
+
 def test_frobenius_traces_refuses_composites():
     # the closed form would give an "inert" composite a_p = 0 without the check
     for E in (CurveModel(1, 1), CurveModel(0, 1)):
@@ -268,13 +280,13 @@ def test_charsum_refuses_primes_past_its_table_limit():
 
 def test_trace_cache_keeps_the_newest_curves(monkeypatch):
     monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
-    traced, traces = [], elliptic._traces
+    traced = []
 
-    def recording(curve, primes, method):
+    def recording(curve, primes, method="auto"):
         traced.append((curve.A, curve.B))
-        return traces(curve, primes, method)
+        return frobenius_traces(curve, primes, method)
 
-    monkeypatch.setattr(elliptic, "_traces", recording)
+    monkeypatch.setattr(elliptic, "frobenius_traces", recording)
     cap = elliptic._TRACE_CACHE_CURVES
     curves = [CurveModel(1, b) for b in range(1, cap + 3)]
     for E in curves:
@@ -283,7 +295,6 @@ def test_trace_cache_keeps_the_newest_curves(monkeypatch):
     traced.clear()
     ps, aps = trace_table(curves[-1], 200)
     assert traced == [] and np.array_equal(aps, frobenius_traces(curves[-1], ps))
-    traced.clear()      # the reference above ran through the spy too
     # a read makes its curve the newest, so the next eviction takes (1, 4)
     trace_table(curves[2], 150)
     trace_table(CurveModel(2, 1), 100)
@@ -318,13 +329,13 @@ def test_grown_trace_table_equals_cold_and_traces_only_new_primes(monkeypatch):
     monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
     cold = trace_table(E, 12_000)
     elliptic._TRACE_CACHE.clear()
-    traced, traces = [], elliptic._traces
+    traced = []
 
-    def recording(curve, primes, method):
+    def recording(curve, primes, method="auto"):
         traced.extend(np.asarray(primes).tolist())
-        return traces(curve, primes, method)
+        return frobenius_traces(curve, primes, method)
 
-    monkeypatch.setattr(elliptic, "_traces", recording)
+    monkeypatch.setattr(elliptic, "frobenius_traces", recording)
     first = trace_table(E, 3_000)
     assert traced == first[0].tolist() and 83 not in traced
     traced.clear()
