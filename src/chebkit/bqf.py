@@ -5,6 +5,7 @@ against Li(x)/h(-D).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from .arith import factorize, squarefree_kernel
 from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
 from .reports import PowerValue
-from .sieve import CountSeries, li, primes_upto
+from .sieve import CountSeries, _blocks, li, primes_upto
 
 # the D with h(-D) = 1: the fundamental ones (Heegner-Baker-Stark) and the
 # orders of discriminant -12, -16, -27 and -28
@@ -155,20 +156,21 @@ def count_represented_primes(form: ReducedForm, x: int,
     gives it and marks every odd p | D ramified.  Only the p | 2D (all <= D)
     go to the lattice: one pass over the primes.  Other forms enumerate the
     ellipse Q <= x into an x-byte table (at most ``_TABLE_BYTES``): O(x) work.
+    Each block of primes counts its hits at the checkpoints: no hit array.
     """
     x = int(x)
     if form.D not in _CLASS_NUMBER_ONE and x + 1 > _TABLE_BYTES:  # before the sieve runs
         raise CapacityError(f"{x + 1} represented values exceed the {_TABLE_BYTES}-byte table")
     ps = primes_upto(x)  # the sieve's capacity guard
-    hits = ps[:0]
+    split = ()
     if form.D in _CLASS_NUMBER_ONE:
         field = quadratic_field(squarefree_kernel(-form.D))
-        odd = ps[1:]                    # ps[0] = 2 when x >= 2
-        hits = odd[(field.index == 0)[odd % abs(field.disc)]]
+        index, mod = field.index, abs(field.disc)
+        split = (b[index[b % mod] == 0] for b in _blocks(ps[1:]))    # ps[0] = 2 when x >= 2
         ps = np.array([p for p in factorize(2 * form.D) if p <= x], dtype=np.int64)
     rep = represented_values(form, int(ps[-1]) if ps.size else 0)
-    hits = np.sort(np.concatenate((hits, ps[rep[ps]])))
-    return CountSeries.of_hits(hits, x, checkpoints)
+    lattice = (b[rep[b]] for b in _blocks(ps))
+    return CountSeries.of_hits(itertools.chain(lattice, split), x, checkpoints)
 
 
 @dataclass(frozen=True)

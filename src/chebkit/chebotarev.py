@@ -24,7 +24,7 @@ from .arith import factorize, is_squarefree, kronecker
 from .bounds import FieldInvariants, range_thresholds
 from .errors import CapacityError, DomainError
 from .reports import BoundReport, PowerValue
-from .sieve import _higher_powers, li, prime_powers, primes_upto
+from .sieve import _blocks, _higher_powers, li, prime_powers, primes_upto
 from .weights import WeightSpec, weight_value
 
 SPLIT = "split"
@@ -142,22 +142,25 @@ def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
 @lru_cache(maxsize=1)
 def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, ...]:
     """pi_C(x), theta_C(x), psi_C(x), #{p < x} and the sum of 1/m over
-    p^m < x with m >= 2, for every class in label order, from one pass:
-    each prime's class is one lookup in ext.index, and each counter one
-    bincount, whose last bin (the ramified primes) is dropped.  The last
+    p^m < x with m >= 2, for every class in label order, from one pass over
+    the primes in blocks: each prime's class is one lookup in ext.index, and
+    each counter adds up by class (theta in prime order, so to the bit as one
+    weighted bincount), the last bin (the ramified primes) dropped.  The last
     (ext, x) asked is kept; it holds no per-prime arrays."""
     mod, n = abs(ext.disc), len(ext.labels) + 1
     ps = primes_upto(x)
-    k = ext.index[ps % mod]
-    below = int(np.searchsorted(ps, x))
-    first = np.bincount(k[:below], minlength=n)[:-1]
-    pi = first + np.bincount(k[below:], minlength=n)[:-1]     # x itself, if prime
-    theta = np.bincount(k[:below], weights=np.log(ps[:below]), minlength=n)[:-1]
+    below = int(np.searchsorted(ps, math.ceil(x)))     # an int: a float x casts ps to float
+    first, theta = np.zeros(n, dtype=np.int64), np.zeros(n)
+    for b in _blocks(ps[:below]):
+        k = ext.index[b % mod]
+        first += np.bincount(k, minlength=n)
+        np.add.at(theta, k, np.log(b))
+    pi = first + np.bincount(ext.index[ps[below:] % mod], minlength=n)   # x itself, if prime
     values, primes, exps = _higher_powers(math.ceil(x) - 1)
     kh = ext.index[values % mod]
-    psi = theta + np.bincount(kh, weights=np.log(primes), minlength=n)[:-1]
-    higher = np.bincount(kh, weights=1.0 / exps, minlength=n)[:-1]
-    return pi, theta, psi, first, higher
+    psi = theta + np.bincount(kh, weights=np.log(primes), minlength=n)
+    higher = np.bincount(kh, weights=1.0 / exps, minlength=n)
+    return pi[:-1], theta[:-1], psi[:-1], first[:-1], higher[:-1]
 
 
 def psi_class(ext: AbelianExtension, cls: ConjClass, x: float) -> float:

@@ -252,17 +252,30 @@ def _point_orders(p, a, P, lo, width, M):
     return lane[ok], m[ok], complete
 
 
-_DRAW = 0x9E3779B1       # draw r takes x = (r + 1) _DRAW mod p, spread over F_p
+_DRAW = 0x9E3779B1       # candidate k is x = (k + 1) _DRAW mod p, spread over F_p
+_DRAW_TRIES = 64         # candidates a resample draw searches for its square class
 
 
 def _draw(p, A, B, r):
     """(f, chi(f), a, Q) for draw r: f = x^3 + Ax + B and the point
     Q = (f x, f^2) on y^2 = x^3 + a x + B f^3, a = A f^2: E if f is a
-    square, else its quadratic twist E', so #E_f = p + 1 - chi(f) a_p."""
-    x = (r + 1) * _DRAW % p
-    f = (x * x % p * x + A * x + B) % p
+    square, else its quadratic twist E', so #E_f = p + 1 - chi(f) a_p.
+    Draw r > 0 takes the first candidate k >= r (of ``_DRAW_TRIES``) whose
+    chi(f) is draw 0's for even r and not for odd r: E and E' take turns."""
+    def candidate(k):
+        x = (k + 1) * _DRAW % p
+        f = (x * x % p * x + A * x + B) % p
+        return x, f, _powmod(f, (p - 1) // 2, p)
+    x, f, e = candidate(r)
+    want = np.where((candidate(0)[2] == 1) != (r % 2 == 1), 1, p - 1) if r else e
+    for k in range(r + 1, r + _DRAW_TRIES):
+        if (e == want).all():
+            break
+        c = candidate(k)
+        take = (e != want) & (c[2] == want)
+        x, f, e = (np.where(take, new, old) for new, old in zip(c, (x, f, e)))
     ff = f * f % p
-    return f, np.where(_powmod(f, (p - 1) // 2, p) == 1, 1, -1), A * ff % p, (f * x % p, ff)
+    return f, np.where(e == 1, 1, -1), A * ff % p, (f * x % p, ff)
 
 
 def _bsgs_round(p, A, B, r, M):

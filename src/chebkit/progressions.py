@@ -1,7 +1,7 @@
 """Primes in arithmetic progressions and the Brun-Titchmarsh checks.
 
-Counting is exact: one bincount of the sieve's primes by residue per (q, x)
-serves every residue's query; the two inequality checks compare that count
+Counting is exact: one blocked bincount of the sieve's primes by residue per
+(q, x) serves every residue's query; the two inequality checks compare that count
 against the Montgomery-Vaughan bound and the sharper piecewise-constant
 bound with an explicit o(1) slack.
 """
@@ -17,9 +17,9 @@ import numpy as np
 from .arith import euler_phi
 from .bounds import brun_titchmarsh_constant
 from .chebotarev import _MAX_MODULUS
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .reports import BoundReport
-from .sieve import primes_upto
+from .sieve import _blocks, primes_upto
 
 
 @dataclass(frozen=True)
@@ -44,28 +44,34 @@ def pi_ap(query: APQuery) -> int:
     q, a = query.q, query.a % query.q
     if q == 1:
         return int(primes_upto(query.x).size)
-    if q > _MAX_MODULUS:            # past the Frobenius-map limit: no q-entry vector
-        ps = primes_upto(query.x)   # with q > x each p is its own residue; q may pass int64
-        return int(np.count_nonzero((ps if q > query.x else ps % q) == a))
+    if q > _MAX_MODULUS:    # no q-entry vector; past x (q may pass int64) p is its own residue
+        return sum(int(np.count_nonzero((b if q > query.x else b % q) == a))
+                   for b in _blocks(primes_upto(query.x)))
     return int(residue_counts(q, query.x)[a])
 
 
 @lru_cache(maxsize=1)
 def _counts(q: int, top: int) -> np.ndarray:
     """Read-only pi(top; q, a) for every a; the last (q, top) asked is kept."""
-    counts = np.bincount(primes_upto(top) % q, minlength=q).astype(np.int64)
+    counts = residue_counts(q, top, primes_upto(top))
     counts.flags.writeable = False
     return counts
 
 
 def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.ndarray:
-    """Vector of pi(x; q, a) for a = 0..q-1 in one pass over ``primes``
-    (default: the sieve's, whose count of the last (q, floor(x)) is kept)."""
+    """Vector of pi(x; q, a) for a = 0..q-1 in one pass over ``primes``, block
+    by block (default: the sieve's, whose count of the last (q, floor(x)) is
+    kept); a q past the Frobenius-map limit raises ``CapacityError`` first."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    if primes is not None:
-        return np.bincount(primes[primes <= x] % q, minlength=q).astype(np.int64)
-    return _counts(q, math.floor(x))
+    if q > _MAX_MODULUS:
+        raise CapacityError(f"modulus {q} exceeds the residue-count limit {_MAX_MODULUS}")
+    if primes is None:
+        return _counts(q, math.floor(x))
+    counts = np.zeros(q, dtype=np.int64)
+    for b in _blocks(primes):
+        counts += np.bincount(b[b <= x] % q, minlength=q)
+    return counts
 
 
 def _bt_compare(query: APQuery, coefficient, label: str, **report) -> BoundReport:

@@ -19,8 +19,10 @@ from .errors import CapacityError, DomainError
 # table top is below 2^33 and every prime power p^m <= top raised from
 # p <= sqrt(top) stays below 2^50, exact in int64.
 _MEMORY_BUDGET = 2**33
-# numbers sieved per block of segmented_primes; the output does not depend on it
+# odd numbers per segment of segmented_primes; the output does not depend on it
 _SEGMENT_SIZE = 2**20
+# primes per block of a counting pass: 512 kB of int64, so no temporary is table-sized
+_BLOCK = 2**16
 _LI_PANELS = 10_000
 
 
@@ -44,8 +46,9 @@ class CountSeries:
             raise DomainError("counts must be monotone nondecreasing")
 
     @classmethod
-    def of_hits(cls, hits: np.ndarray, x: float, checkpoints=None) -> CountSeries:
-        """Count the ascending ``hits`` <= each checkpoint (default: x alone).
+    def of_hits(cls, hits, x: float, checkpoints=None) -> CountSeries:
+        """Count the ascending ``hits`` <= each checkpoint (default: x alone);
+        ``hits`` may also be an iterable of ascending arrays, counted together.
         The hits stop at x, so a checkpoint whose floor exceeds x (or a nan)
         is refused."""
         cps = np.asarray([x] if checkpoints is None else checkpoints, dtype=float)
@@ -53,7 +56,8 @@ class CountSeries:
         if past.size:
             raise DomainError(f"checkpoint {past[0]:g} lies past x = {x:g}, where the counted "
                               "primes stop")
-        return cls(cps, np.searchsorted(hits, cps, side="right").astype(float))
+        pieces = [hits] if isinstance(hits, np.ndarray) else hits
+        return cls(cps, sum((np.searchsorted(h, cps, "right") for h in pieces), np.zeros_like(cps)))
 
     def at(self, x: float) -> float:
         """Step-function value: count at the largest checkpoint <= x."""
@@ -76,11 +80,13 @@ def simple_sieve(n: int) -> np.ndarray:
 
 
 def segmented_primes(lo: int, hi: int) -> np.ndarray:
-    """Ascending int64 primes in [lo, hi) via a segmented Eratosthenes sieve.
+    """Ascending int64 primes in [lo, hi) via an odd-only segmented sieve of
+    Eratosthenes (Bays and Hudson, BIT 17, 1977).
 
-    The interval is cut into ``_SEGMENT_SIZE`` blocks, each sieved
-    independently with the base primes up to sqrt(hi); results are merged
-    in order, so the output is independent of the segmentation.
+    Slot i of a segment stands for the odd number start + 2i.  Each segment
+    of ``_SEGMENT_SIZE`` slots is sieved by the odd base primes p with p^2
+    below its end, from the first odd multiple of p past max(p^2, start);
+    the output does not depend on the segmentation.
     """
     lo = max(int(lo), 2)
     hi = int(hi)
@@ -88,16 +94,17 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if hi > _MEMORY_BUDGET:
         raise CapacityError(f"hi={hi} exceeds memory budget {_MEMORY_BUDGET}")
-    base = simple_sieve(math.isqrt(hi - 1))
-    chunks = []
-    for start in range(lo, hi, _SEGMENT_SIZE):
-        stop = min(start + _SEGMENT_SIZE, hi)
-        mask = np.ones(stop - start, dtype=bool)
+    base = simple_sieve(math.isqrt(hi - 1))[1:].tolist()
+    chunks = [np.array([2] if lo == 2 else [], dtype=np.int64)]
+    for start in range(lo | 1, hi, 2 * _SEGMENT_SIZE):
+        stop = min(start + 2 * _SEGMENT_SIZE, hi)
+        mask = np.ones((stop - start + 1) // 2, dtype=bool)
         for p in base:
-            p = int(p)
-            first = max(p * p, ((start + p - 1) // p) * p)
-            mask[first - start:: p] = False
-        chunks.append(np.nonzero(mask)[0].astype(np.int64) + start)
+            if p * p >= stop:
+                break
+            first = max(p * p, -(-start // p) * p)
+            mask[(first + p * (first % 2 == 0) - start) // 2:: p] = False
+        chunks.append(np.flatnonzero(mask) * 2 + start)
     return np.concatenate(chunks)
 
 
@@ -114,9 +121,15 @@ def primes_upto(n: int | float) -> np.ndarray:
     n = int(math.floor(n))
     top, primes = _table
     if n > top:
-        primes = np.concatenate((primes, segmented_primes(top + 1, n + 1)))
+        new = segmented_primes(top + 1, n + 1)
+        primes = np.concatenate((primes, new)) if primes.size else new
         _table = (n, primes)
     return primes[: int(np.searchsorted(primes, n, side="right"))]
+
+
+def _blocks(a: np.ndarray):
+    """Successive views of ``a``, ``_BLOCK`` entries each."""
+    return (a[i:i + _BLOCK] for i in range(0, a.size, _BLOCK))
 
 
 def _higher_powers(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -171,6 +171,32 @@ def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
     assert np.array_equal(auto[small], frobenius_traces(E, ps[small], "charsum"))
 
 
+@pytest.mark.parametrize("A,B,p", [(-6, 0, 16901), (1, 0, 17957)])
+def test_bsgs_settles_a_square_group_through_the_twist(monkeypatch, A, B, p):
+    # E(F_p) = Z/n x Z/n with n = sqrt(p - 1): no point of E singles #E out
+    # of the Hasse interval, and draw 0 has a square f at both primes, so a
+    # lane settles only on a draw on the twist
+    E = CurveModel(A, B)
+    expect = elliptic._trace_charsum(E, p)
+    assert elliptic._draw(np.array([p]), np.array([A % p]), np.array([B]), 0)[1][0] == 1
+    monkeypatch.setattr(elliptic, "_trace_charsum",
+                        lambda curve, q: pytest.fail(f"p = {q} reached the character sum"))
+    assert frobenius_traces(E, [p], "bsgs").tolist() == [expect]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_resample_draws_alternate_the_twist(A, B):
+    ps = PRIMES_5E4[PRIMES_5E4 > 1000]
+    ps = ps[CurveModel(A, B or 1).has_good_reduction(ps)]
+    A_, B_ = A % ps, (B or 1) % ps
+    f0, chi0 = elliptic._draw(ps, A_, B_, 0)[:2]
+    assert np.array_equal(f0, ((elliptic._DRAW % ps) ** 3 + A_ * elliptic._DRAW + B_) % ps)
+    for r in range(1, elliptic._BSGS_RESAMPLE_LIMIT):
+        f, chi = elliptic._draw(ps, A_, B_, r)[:2]
+        assert (f != 0).all() and np.array_equal(chi, chi0 * (-1) ** r)
+
+
 @pytest.mark.parametrize("A,B", [(4, 0), (3, 8), (0, -3), (-7, 0), (-7, 5), (0, -9)])
 def test_benchmark_curves_agree_with_bsgs(A, B):
     # the six curves of the frobenius benchmark at seed 1, four with CM

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_maynard_passes_at_desk_scale():
 
 
 # (q, x) keys: small moduli, and moduli past the 2^20 limit that pi_ap
-# counts directly
+# counts directly and residue_counts refuses
 _KEYS = st.tuples(st.one_of(st.integers(1, 300), st.integers(2**20 + 1, 2**20 + 4000)),
                   st.floats(2, 2e5))
 
@@ -128,7 +129,12 @@ def test_counts_match_a_direct_count_over_interleaved_queries(data, keys):
             ps = simple_sieve(int(x))
             expect = int(np.count_nonzero(ps % q == a % q))
             assert pi_ap(APQuery(q=q, a=a, x=x)) == expect, (q, a, x)
-            if data.draw(st.booleans()):
+            if not data.draw(st.booleans()):
+                continue
+            if q > progressions._MAX_MODULUS:   # pi_ap counts it; the q-entry vector is refused
+                with pytest.raises(CapacityError):
+                    residue_counts(q, x)
+            else:
                 counts = residue_counts(q, x)
                 assert counts[a % q] == expect and counts.sum() == ps.size, (q, a, x)
     finally:
@@ -156,3 +162,28 @@ def test_bt_check_counts_the_residues_once(monkeypatch):
         residue_counts(18, 2.0**34)
     pi_ap(APQuery(q=18, a=7, x=1e5))
     assert builds[3:] == [2**34] and progressions._counts.cache_info().misses == 3
+
+
+def test_residue_counts_refuse_a_modulus_past_the_map_limit_before_counting(monkeypatch):
+    monkeypatch.setattr(progressions, "primes_upto", lambda x: pytest.fail("sieved"))
+    tracemalloc.start()
+    try:
+        for primes in (None, np.array([2, 3, 5], dtype=np.int64)):
+            with pytest.raises(CapacityError, match="1048576"):
+                residue_counts(10**12, 100, primes)     # a 7.28 TiB vector, once
+            with pytest.raises(CapacityError):
+                residue_counts(progressions._MAX_MODULUS + 1, 100, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    monkeypatch.undo()
+    assert residue_counts(progressions._MAX_MODULUS, 100, simple_sieve(100)).sum() == 25
+
+
+def test_bt_check_refuses_a_modulus_past_the_map_limit_before_sieving(monkeypatch):
+    # each of its ~10^6 rows would make its own pass over the primes
+    monkeypatch.setattr(progressions, "primes_upto", lambda x: pytest.fail("sieved"))
+    code, text = run(["bt-check", "--q", "3000000", "--x", "1e7"])
+    assert code == 2 and "exceeds" in text
+    assert run(["bt-check", "--q", str(progressions._MAX_MODULUS + 1), "--x", "1e7"])[0] == 2

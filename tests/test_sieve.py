@@ -63,6 +63,26 @@ def test_pi_1e6_against_independent_sieve():
     assert len(segmented_primes(2, 10**6 + 1)) == 78498
 
 
+def test_pi_1e8_is_the_published_value():
+    # pi(10^8) = 5,761,455, OEIS A006880; counted in ten windows, so that no
+    # 46 MB table is held at once
+    assert sum(segmented_primes(k * 10**7, (k + 1) * 10**7).size for k in range(10)) == 5_761_455
+
+
+@settings(max_examples=80, deadline=None)
+@given(seg=st.integers(1, 40), lo=st.integers(0, 3000), segments=st.integers(0, 12),
+       edge=st.integers(-2, 2), span=st.one_of(st.none(), st.integers(0, 3000)))
+def test_odd_only_sieve_matches_simple_sieve_on_and_off_segment_edges(seg, lo, segments,
+                                                                       edge, span):
+    # segment k starts at the odd number (lo | 1) + 2 seg k, or 3 + 2 seg k for lo < 2
+    hi = lo + span if span is not None else (max(lo, 2) | 1) + 2 * seg * segments + edge
+    expect = simple_sieve(max(hi - 1, 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_SEGMENT_SIZE", seg)
+        got = segmented_primes(lo, hi)
+    assert got.dtype == np.int64 and got.tolist() == expect[expect >= lo].tolist()
+
+
 def test_all_listed_are_prime_spot_check():
     primes = segmented_primes(2, 50_000)
     rng = np.random.default_rng(7)
