@@ -71,36 +71,76 @@ class LogDerivSeries:
         return out
 
 
+def _split(length: int) -> tuple[int, int]:
+    """(C, K) with C K >= length and K about sqrt(length): an index below
+    C K is c K + d with c < C and d < K."""
+    k = math.isqrt(max(length - 1, 0)) + 1
+    return -(-length // k), k
+
+
+def _phase_table(buf: np.ndarray, logn: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+                 amp: np.ndarray | None = None) -> np.ndarray:
+    """The (C K, terms) matrix whose row c K + d is amp e^{-i (coarse[c] +
+    fine[d]) log n} (amp = 1 if None), built in the front of the flat
+    buffer buf from C + K - 1 rows of exponentials; fine[0] must be 0.
+
+    Row c K is the coarse row c alone, and rows 1 .. K - 1 hold the fine
+    rows until block 0 is multiplied last.  Each product is one row
+    against a block of rows, so no operand is a table-sized temporary."""
+    table = buf[: coarse.size * fine.size * logn.size].reshape(coarse.size, fine.size, -1)
+    heads = list(table[:, 0])
+    for row, s in zip(heads + list(table[0, 1:]), np.concatenate((coarse, fine[1:]))):
+        np.multiply(logn, -1j * s, out=row)
+        np.exp(row, out=row)
+    if amp is not None:
+        for row in heads:
+            row *= amp
+    for c in range(coarse.size - 1, -1, -1):
+        np.multiply(table[0, 1:], table[c, :1], out=table[c, 1:])
+    return table.reshape(-1, logn.size)
+
+
 def _evaluate_grid(series: LogDerivSeries, t0: float, h: float, count: int) -> np.ndarray:
     """Z(sigma0 + i t_k) at the count nodes t_k = t0 + k h, equal to
     series.evaluate on them up to rounding.
 
     With k = b J + j and J, B about sqrt(count), the phase splits as
     e^{-i t_k log n} = e^{-i (t0 + b J h) log n} e^{-i j h log n}, so the
-    values are the entries (j, b) of one matrix product E @ A with
-    E[j, n] = e^{-i j h log n} and A[n, b] = c_n n^-sigma0 e^{-i (t0 + b J h) log n}:
-    (J + B) exponentials per term instead of count.  The terms run in
-    blocks of about _EVAL_ENTRIES entries of E and A together, to bound
-    memory.
+    values are the entries (b, j) of one matrix product A E^T with
+    E[j, n] = e^{-i j h log n} and A[b, n] = c_n n^-sigma0 e^{-i (t0 + b J h) log n}.
+    Each table splits once more: with j = c K + d and K about sqrt(J),
+    E[j, n] = e^{-i c K h log n} e^{-i d h log n} is a termwise product of
+    rows of two tables of about sqrt(J) exponentials per term, and A
+    likewise, with c_n n^-sigma0 e^{-i t0 log n} on its coarse table.  A
+    term then costs 2 (sqrt(J) + sqrt(B)), about 4 count^(1/4), complex
+    exponentials instead of J + B.  J and B are padded up to the sizes of
+    their two tables, so E and A fill whole contiguous blocks, and the
+    nodes past count are dropped.  The terms run in blocks of about
+    _EVAL_ENTRIES entries of E and A together, which hold their two tables
+    as well, to bound memory.
     """
-    rows = math.isqrt(max(count - 1, 0)) + 1
-    cols = -(-count // rows)
-    out = np.zeros((rows, cols), dtype=complex)
-    logn = np.log(series.values.astype(float))
-    amp = series.coeffs * series.values.astype(float) ** -series.sigma0
-    j_phase = -1j * h * np.arange(rows)
-    b_phase = -1j * (t0 + rows * h * np.arange(cols))
+    rows_c, rows_k = _split(math.isqrt(max(count - 1, 0)) + 1)
+    rows = rows_c * rows_k
+    cols_c, cols_k = _split(-(-count // rows))
+    cols = cols_c * cols_k
+    out = np.zeros((cols, rows), dtype=complex)
+    e_coarse, e_fine = rows_k * h * np.arange(rows_c), h * np.arange(rows_k)
+    a_coarse = t0 + cols_k * rows * h * np.arange(cols_c)
+    a_fine = rows * h * np.arange(cols_k)
     width = max(1, _EVAL_ENTRIES // (rows + cols))
-    for i in range(0, logn.size, width):
-        # exponentials in place: E and A are the only blocks alive
-        e = np.multiply.outer(j_phase, logn[i: i + width])
-        a = np.multiply.outer(logn[i: i + width], b_phase)
-        np.exp(e, out=e)
-        np.exp(a, out=a)
-        a *= amp[i: i + width, None]
-        out += e @ a
-    # column b holds the nodes b J .. b J + J - 1
-    return out.T.reshape(-1)[:count]
+    terms = series.values.size
+    # E and A, reused by every term block
+    e_buf = np.empty(rows * min(width, terms), dtype=complex)
+    a_buf = np.empty(cols * min(width, terms), dtype=complex)
+    for i in range(0, terms, width):
+        n = series.values[i: i + width].astype(float)
+        logn = np.log(n)
+        e = _phase_table(e_buf, logn, e_coarse, e_fine)
+        amp = series.coeffs[i: i + width] * n ** -series.sigma0
+        a = _phase_table(a_buf, logn, a_coarse, a_fine, amp)
+        out += a @ e.T
+    # row b holds the nodes b J .. b J + J - 1, padding included
+    return out.reshape(-1)[:count]
 
 
 def zeta_log_deriv(n_max: int) -> LogDerivSeries:

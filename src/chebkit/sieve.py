@@ -155,13 +155,24 @@ def prime_powers(limit: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (values, primes, exponents): the support of the von Mangoldt
     function up to ``limit``.  The ``_higher_powers`` are merged into the
     prime table; prime powers are distinct, so the merged order is total.
+    The k-th higher power lands at its rank among the primes plus k, the
+    primes in the slots left over, so each output is written once with
+    no table-sized temporary beyond one boolean mask.
     """
     top = math.floor(limit)
     ps = primes_upto(top)
     vals, prs, exps = _higher_powers(top)
-    at = np.searchsorted(ps, vals)
-    return (np.insert(ps, at, vals), np.insert(ps, at, prs),
-            np.insert(np.ones(ps.size, dtype=np.int64), at, exps))
+    at = np.searchsorted(ps, vals) + np.arange(vals.size)
+    is_prime = np.ones(ps.size + vals.size, dtype=bool)
+    is_prime[at] = False
+
+    def merged(low, high):
+        out = np.empty(is_prime.size, dtype=np.int64)
+        out[is_prime] = low
+        out[at] = high
+        return out
+
+    return merged(ps, vals), merged(ps, prs), merged(1, exps)
 
 
 def _simpson(values: np.ndarray, h: float):

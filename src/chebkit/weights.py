@@ -65,10 +65,12 @@ def _phi(w: np.ndarray) -> np.ndarray:
     """(1 - exp(w)) / (-w) with the removable singularity handled by series."""
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < SERIES_THRESHOLD
-    wsafe = np.where(small, 1.0, w)
-    direct = (np.exp(wsafe) - 1.0) / wsafe
-    series = 1.0 + w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * (1 / 120 + w / 720))))
-    return np.where(small, series, direct)
+    out = np.where(small, 1.0, w)
+    # out= keeps a 0-d input a 0-d array, which the series below indexes
+    np.divide(np.exp(out) - 1.0, out, out=out)
+    w = w[small]
+    out[small] = 1.0 + w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * (1 / 120 + w / 720))))
+    return out
 
 
 def laplace_transform(spec: WeightSpec, z: complex | np.ndarray) -> complex | np.ndarray:

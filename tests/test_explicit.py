@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +13,14 @@ from chebkit.chebotarev import (FULL, SPLIT, ConjClass, cyclotomic_field,
                                 weighted_prime_sum)
 from chebkit import explicit
 from chebkit.characters import character_table
+from chebkit.cli import run
 from chebkit.errors import CapacityError, DomainError
 from chebkit.explicit import (LogDerivSeries, _evaluate_grid, character_log_deriv,
                               class_log_deriv, contour_sum, support_cap, tail_bound,
                               zeta_log_deriv)
 from chebkit.sieve import prime_powers
 from chebkit.weights import WeightSpec, weight_value
+from test_golden import CASES
 
 # -zeta'(2)/zeta(2), frozen from mpmath.zeta(2, derivative=1)/mpmath.zeta(2)
 NEG_ZETA_LOGDERIV_AT_2 = 0.5699618236417963
@@ -137,6 +140,66 @@ def test_grid_kernel_term_blocks(monkeypatch, count):
 def test_grid_kernel_on_an_empty_series():
     empty = zeta_log_deriv(1)
     assert np.array_equal(_evaluate_grid(empty, 0.0, 0.1, 5), np.zeros(5, dtype=complex))
+
+
+@pytest.mark.parametrize("t0", [0.0, -250.0])
+def test_grid_kernel_padding_edges(t0):
+    # every small count, and counts on either side of a square, where J
+    # steps up and the padding of E and A to their tables' sizes changes
+    series = _random_series(11, 400, True, 0.7)
+    counts = set(range(1, 301)) | {k * k + d for k in range(1, 41) for d in (-1, 0, 1)}
+    for count in sorted(counts - {0}):
+        _assert_grid_matches_direct(series, t0, 0.05, count)
+
+
+def test_grid_kernel_memory_stays_within_its_block(monkeypatch):
+    monkeypatch.setattr(explicit, "_EVAL_ENTRIES", 2**14)
+    count = 2000
+    # rows 49 = 7 x 7 and columns 42 = 6 x 7: a block holds 138 terms, the
+    # series three blocks wide; each block's product is one output-sized temporary
+    series = _random_series(5, 3000, True, 0.5)
+    series = replace(series, values=series.values[:400], coeffs=series.coeffs[:400])
+    tracemalloc.start()
+    try:
+        grid = _evaluate_grid(series, -100.0, 0.05, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * explicit._EVAL_ENTRIES + grid.nbytes
+
+
+def _reference_values(series, t0, h, count, mpmath):
+    """Z(sigma0 + i t_k) at 30 digits: term by term, each phase advanced
+    by its step e^{-i h log n} node after node."""
+    mpmath.mp.dps = 30
+    acc = [mpmath.mpc(0)] * count
+    for c, n in zip(series.coeffs.tolist(), series.values.tolist()):
+        logn = mpmath.log(n)
+        z = mpmath.mpc(c) * mpmath.power(n, -mpmath.mpf(series.sigma0)) * mpmath.expj(
+            -mpmath.mpf(t0) * logn)
+        step = mpmath.expj(-mpmath.mpf(h) * logn)
+        for k in range(count):
+            acc[k] += z
+            z *= step
+    return np.array([complex(v) for v in acc])
+
+
+@pytest.mark.parametrize("name", ["mellin-check-residue", "mellin-check-char"])
+def test_grid_kernel_and_dense_evaluation_against_30_digits(monkeypatch, name):
+    mpmath = pytest.importorskip("mpmath")
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _evaluate_grid(*args)
+
+    monkeypatch.setattr(explicit, "_evaluate_grid", spy)
+    assert run([*CASES[name], "--format", "json"])[0] == 0
+    (series, t0, h, count), = calls
+    ref = _reference_values(series, t0, h, count, mpmath)
+    scale = float(np.sum(np.abs(series.coeffs) * series.values.astype(float) ** -series.sigma0))
+    for got in (_evaluate_grid(series, t0, h, count), series.evaluate(t0 + h * np.arange(count))):
+        assert np.max(np.abs(got - ref)) <= 1e-11 * scale
 
 
 # ------------------------------------------------------------ tail bound

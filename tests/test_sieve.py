@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,36 @@ def test_prime_powers_match_brute_force(limit):
     assert all(a.dtype == np.int64 for a in got)
     assert list(zip(*(a.tolist() for a in got))) == brute_prime_powers(limit)
     assert np.all(np.diff(got[0]) > 0)
+
+
+def _inserted_prime_powers(limit):
+    """The merge by three np.insert copies of the prime table."""
+    top = math.floor(limit)
+    ps = primes_upto(top)
+    vals, prs, exps = sieve._higher_powers(top)
+    at = np.searchsorted(ps, vals)
+    return (np.insert(ps, at, vals), np.insert(ps, at, prs),
+            np.insert(np.ones(ps.size, dtype=np.int64), at, exps))
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 120, 121, 122,
+                                   1000.5, 1e7])
+def test_prime_powers_equal_the_inserted_merge(limit):
+    # p^2 - 1, p^2 and p^2 + 1 put a higher power just past, on and before the top
+    got, want = prime_powers(limit), _inserted_prime_powers(limit)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_prime_powers_allocate_only_their_outputs():
+    primes_upto(1e7)
+    tracemalloc.start()
+    try:
+        got = prime_powers(1e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(a.nbytes for a in got) + 2 * 2**20
 
 
 # -------------------------------------------------------------------- li

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from chebkit.errors import DomainError
-from chebkit.weights import (WeightSpec, check_decay_bound, check_growth_bound,
-                             check_left_line_bound, check_real_axis_bound,
+from chebkit.weights import (SERIES_THRESHOLD, WeightSpec, _phi, check_decay_bound,
+                             check_growth_bound, check_left_line_bound, check_real_axis_bound,
                              laplace_transform, laplace_transform_quadrature,
                              weight_breakpoints, weight_value)
 
@@ -166,6 +166,30 @@ def test_removable_singularity_region_is_smooth():
             a = laplace_transform(spec, z)
             b = laplace_transform_quadrature(spec, z, step=2e-4)
             assert a == pytest.approx(b, rel=1e-8)
+
+
+def _phi_on_every_node(w):
+    """_phi with the series computed on every node and then discarded."""
+    w = np.asarray(w, dtype=complex)
+    small = np.abs(w) < SERIES_THRESHOLD
+    wsafe = np.where(small, 1.0, w)
+    direct = (np.exp(wsafe) - 1.0) / wsafe
+    series = 1.0 + w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * (1 / 120 + w / 720))))
+    return np.where(small, series, direct)
+
+
+def test_phi_takes_the_series_only_where_it_is_used():
+    rng = np.random.default_rng(3)
+    mags = 10.0 ** rng.uniform(-9, 2, size=(2, 500))
+    grid = rng.normal(size=500) * mags[0] + 1j * rng.normal(size=500) * mags[1]
+    for w in (grid, grid.reshape(20, 25), np.empty(0), np.array(0.0), np.array(3e-5 - 1e-6j),
+              np.array(-2.0 + 7.0j), 0.0, 5e-5, -1e-5j, 1.5 - 2.0j, np.float64(-3.0),
+              [1e-6, 4.0j]):
+        got, want = _phi(w), _phi_on_every_node(w)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
 @settings(max_examples=60, deadline=None)
