@@ -34,6 +34,7 @@ CASES = {
     "chebotarev-quadratic": ["chebotarev", "--d", "-1", "--class", "split", "--x", "1e6"],
     "mellin-check-residue": ["mellin-check", "--q", "5", "--residue", "2", "--x", "300"],
     "mellin-check-char": ["mellin-check", "--q", "5", "--char-index", "1", "--x", "300"],
+    "mellin-check-char-q2": ["mellin-check", "--q", "2", "--char-index", "0", "--x", "300"],
 }
 
 
