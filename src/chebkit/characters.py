@@ -1,46 +1,34 @@
-"""Dirichlet characters mod q as dense value tables.
+"""Dirichlet characters mod q as class functions on a Frobenius map.
 
-Characters are represented by their value vector on 0..q-1 (zero off the
-units), built from discrete logs on the cyclic factors of (Z/q)*.  Row 0
-of the table is the principal character.  Characters are taken modulo q
-as-is, so the principal row vanishes at primes dividing q; that matches
-the ramified-prime convention used by the direct counters.
+A character is its values on the units mod q, one per class of
+Q(zeta_q), built from discrete logs on the cyclic factors of (Z/q)*;
+``character_table`` stacks them as value vectors on 0..q-1 (zero off the
+units).  Row 0 of the table is the principal character.  Characters are
+taken modulo q as-is, so the principal row vanishes at primes dividing q;
+that matches the ramified-prime convention used by the direct counters.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .arith import euler_phi, factorize
+from .chebotarev import AbelianExtension, _class_values, cyclotomic_field, trivial_extension
 from .errors import CapacityError, DomainError
 
 _TABLE_BUDGET = 2 ** 28      # bytes of one (phi(q), q) complex table: prime q up to 4093
 
 
-def _multiplicative_order(g: int, modulus: int, group_order: int) -> int:
-    order = group_order
-    for p in factorize(group_order):
-        while order % p == 0 and pow(g, order // p, modulus) == 1:
-            order //= p
-    return order
+def _primitive_root(pe: int, phi: int) -> int:
+    """The least generator of a cyclic (Z/pe)* of order phi: g^(phi/r) != 1
+    for every prime r | phi, which also rules out every non-unit g."""
+    return next(g for g in range(2, pe) if all(pow(g, phi // r, pe) != 1 for r in factorize(phi)))
 
 
-def _primitive_root(p: int, e: int) -> int:
-    """Primitive root mod p^e for odd prime p."""
-    pe = p ** e
-    phi = pe // p * (p - 1)
-    for g in range(2, p ** e):
-        if math.gcd(g, p) != 1:
-            continue
-        if _multiplicative_order(g, pe, phi) == phi:
-            return g
-    raise DomainError(f"no primitive root mod {pe}")  # unreachable for odd p
-
-
+@lru_cache(maxsize=1)
 def _cyclic_components(q: int) -> list[tuple[int, int, np.ndarray]]:
     """Decompose (Z/q)* into cyclic factors.
 
@@ -62,9 +50,8 @@ def _cyclic_components(q: int) -> list[tuple[int, int, np.ndarray]]:
             comps.append((pe, 2, sign))
             comps.append((pe, 2 ** (e - 2), main))
         else:
-            g = _primitive_root(p, e)
             phi = pe // p * (p - 1)
-            comps.append((pe, phi, _dlog_table(g, pe, phi)))
+            comps.append((pe, phi, _dlog_table(_primitive_root(pe, phi), pe, phi)))
     return comps
 
 
@@ -77,30 +64,36 @@ def _dlog_table(g: int, modulus: int, order: int) -> np.ndarray:
     return table
 
 
+def character(q: int, index: int) -> tuple[AbelianExtension, np.ndarray]:
+    """Row ``index`` of ``character_table(q)`` as a class function (ext, w):
+    w[k] is the character's value on ext's label k, and it vanishes where
+    ext ramifies.  ext is Q(zeta_q), or for the one character of q <= 2,
+    Q itself (q = 1) or Q(i) (q = 2), on whose two classes it is 1."""
+    if q < 1:
+        raise DomainError("modulus must be >= 1")
+    ext = trivial_extension() if q == 1 else cyclotomic_field(4 if q == 2 else q)
+    comps = _cyclic_components(q)
+    orders = [d for (_, d, _) in comps]
+    if not 0 <= index < math.prod(orders):
+        raise DomainError(f"character index {index} out of range for q={q}")
+    units = np.flatnonzero(ext.index < len(ext.labels))
+    w = np.ones(units.size, dtype=complex)
+    # the components in the table's product order: the last one varies fastest
+    for k, (modulus, d, table) in zip(np.unravel_index(index, orders), comps):
+        w *= np.exp(2j * np.pi * k * table[units % modulus] / d)
+    return ext, w
+
+
 @lru_cache(maxsize=64)
 def character_table(q: int) -> np.ndarray:
     """All phi(q) Dirichlet characters mod q as a read-only (phi(q), q) complex
-    array; a table past ``_TABLE_BUDGET`` bytes raises ``CapacityError``."""
-    if q < 1:
-        raise DomainError("modulus must be >= 1")
+    array, the stack of their ``character`` rows; a table past
+    ``_TABLE_BUDGET`` bytes raises ``CapacityError``."""
     # phi(q) >= sqrt(q / 2), so past q = 2^20 the table is over budget unfactored
     phi = euler_phi(q) if q <= 2 ** 20 else q
     if 16 * phi * q > _TABLE_BUDGET:
         raise CapacityError(f"the character table mod {q} is past the budget of "
                             f"{_TABLE_BUDGET} bytes")
-    comps = _cyclic_components(q)
-    units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
-    orders = [d for (_, d, _) in comps]
-    rows = []
-    for ks in product(*(range(d) for d in orders)):
-        row = np.zeros(q, dtype=complex)
-        vals = np.ones(units.size, dtype=complex)
-        for k, (modulus, d, table) in zip(ks, comps):
-            idx = table[units % modulus]
-            vals *= np.exp(2j * np.pi * k * idx / d)
-        row[units] = vals
-        rows.append(row)
-    # principal character first, then by conductor-agnostic lexicographic order
-    table = np.array(rows)
+    table = np.array([_class_values(*character(q, k), np.arange(q)) for k in range(phi)])
     table.flags.writeable = False   # the cache hands this one array to every caller
     return table

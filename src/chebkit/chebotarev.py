@@ -4,9 +4,10 @@ residues mod |disc| to class positions).  pi_C, theta_C and psi_C are
 reads of one census per (field, x) that counts every class in one pass.
 The partial-summation chain sums theta_C and psi_C by parts: census
 counts up to x and a head of prime powers up to x0.  Only the smoothed
-prime sum selects its own terms.
+prime sum selects its own terms, weighted by a class function: one value
+per class, of which a class indicator is one.
 
-Conventions: the class indicator at a ramified prime is 0 (deterministic,
+Conventions: a class function at a ramified prime is 0 (deterministic,
 and safe for every upper-bound comparison); the weighted counters use a
 strict cutoff (norm < x) while the unweighted pi counter is inclusive
 (norm <= x).  The off-by-one when x is itself a counted prime is accepted.
@@ -131,12 +132,23 @@ def artin_class(ext: AbelianExtension, p: int) -> ConjClass | None:
     return ConjClass(ext.labels[k]) if k < len(ext.labels) else None
 
 
-def _class_terms(ext: AbelianExtension, cls: ConjClass, values: np.ndarray,
-                 primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The n = p^m in ``values`` (p the matching entry of ``primes``) with
-    Frobenius(p)^m in the class, and their log p.  Ramified p never match."""
-    hit = np.flatnonzero(ext.index[values % abs(ext.disc)] == _class_index(ext, cls))
-    return values[hit], np.log(primes[hit])
+def _class_values(ext: AbelianExtension, w, n: np.ndarray) -> np.ndarray:
+    """w(Frobenius(p)^m) for each n = p^m, 0 where p ramifies.  w is a class
+    function, one value per label; a ConjClass stands for its indicator."""
+    if isinstance(w, ConjClass):
+        w = np.arange(len(ext.labels)) == _class_index(ext, w)
+    elif len(w) != len(ext.labels):
+        raise DomainError(f"a class function needs {len(ext.labels)} values, one per label")
+    return np.append(w, 0)[ext.index[n % abs(ext.disc)]]
+
+
+def _terms(ext: AbelianExtension, w, values: np.ndarray,
+           primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n = p^m in ``values`` (p the matching entry of ``primes``) where
+    the class function w is nonzero, and their log p * w."""
+    weight = _class_values(ext, w, values)
+    hit = np.flatnonzero(weight)
+    return values[hit], np.log(primes[hit]) * weight[hit]
 
 
 @lru_cache(maxsize=1)
@@ -196,7 +208,7 @@ def _summed_by_parts(ext: AbelianExtension, cls: ConjClass, x0: float,
         raise DomainError("need x > x0 > 3")
     k = _class_index(ext, cls)
     _, _, _, first, higher = _census(ext, x)
-    kept, logp = _class_terms(ext, cls, *prime_powers(x0)[:2])
+    kept, logp = _terms(ext, cls, *prime_powers(x0)[:2])
     w = logp / np.log(kept)          # exactly 1 at a prime, about 1/m at p^m
     head = logp / math.log(x0) - w
     theta = float(first[k]) + float(np.sum(head[w == 1]))
@@ -223,17 +235,19 @@ def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float,
                                label="pi <= smoothed psi chain")
 
 
-def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass, spec: WeightSpec) -> float:
-    """Direct evaluation of sum_n Lambda(n) * [class] * f(log n / log x)
-    over prime powers inside the weight's support."""
+def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass | np.ndarray,
+                       spec: WeightSpec) -> float | complex:
+    """Direct evaluation of sum_n Lambda(n) * w(Frobenius(n)) * f(log n / log x)
+    over prime powers inside the weight's support, for w the indicator of
+    a class or a class function cls; complex when cls is."""
     x = spec.x
     lo, hi = spec.support
     limit = x ** hi
     values, primes, _ = prime_powers(limit + 1)
     mask = values >= max(2.0, math.floor(x ** lo))
-    kept, logp = _class_terms(ext, cls, values[mask], primes[mask])
+    kept, coeffs = _terms(ext, cls, values[mask], primes[mask])
     t = np.log(kept.astype(float)) / spec.log_x
-    return float(np.sum(logp * weight_value(spec, t)))
+    return np.sum(coeffs * weight_value(spec, t)).item()
 
 
 @dataclass(frozen=True)

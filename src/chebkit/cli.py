@@ -36,6 +36,7 @@ from . import chebotarev as cheb
 from . import elliptic
 from . import explicit
 from . import progressions as ap
+from .characters import character
 from .errors import CapacityError, DomainError
 from .weights import (WeightSpec, check_decay_bound, check_growth_bound,
                       check_left_line_bound, check_real_axis_bound,
@@ -242,23 +243,20 @@ def _cmd_mellin_check(args) -> list[dict]:
         raise DomainError("--residue needs --q >= 2 and no --char-index")
     if args.n_max is not None and args.n_max < 2:
         raise DomainError("--n-max must be >= 2: no prime power lies below 2")
+    # contour_sum drops every term past the support, so no series goes further
     cap = explicit.support_cap(spec)
-    n_max = cap if args.n_max is None else args.n_max
+    n_max = min(args.n_max or cap, cap)
     if args.char_index is not None:
-        # single-character series: the direct side is the complex sum over
-        # the whole support, whatever n_max truncates the contour's series to
         series = explicit.character_log_deriv(args.q, args.char_index, n_max)
-        full = series if n_max >= cap else explicit.character_log_deriv(args.q, args.char_index, cap)
-        t = np.log(full.values.astype(float)) / spec.log_x
-        direct = complex(np.sum(full.coeffs * weight_value(spec, t)))
+        ext, w = character(args.q, args.char_index)
     elif args.q == 1:
         series = explicit.zeta_log_deriv(n_max)
-        direct = cheb.weighted_prime_sum(cheb.trivial_extension(), cheb.ConjClass(cheb.FULL), spec)
+        ext, w = cheb.trivial_extension(), cheb.ConjClass(cheb.FULL)
     else:
-        ext, cls = cheb.cyclotomic_field(args.q), cheb.ConjClass(
+        ext, w = cheb.cyclotomic_field(args.q), cheb.ConjClass(
             1 if args.residue is None else args.residue)
-        series = explicit.class_log_deriv(ext, cls, n_max)
-        direct = cheb.weighted_prime_sum(ext, cls, spec)
+        series = explicit.class_log_deriv(ext, w, n_max)
+    direct = cheb.weighted_prime_sum(ext, w, spec)
     res = explicit.contour_sum(series, spec, t_max=args.t_max)
     diff = abs(complex(res.value, res.imag_part) - direct)
     if args.char_index is not None:
@@ -462,6 +460,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 0, emit(rows, given.format or args.format or "json", {"command": args.command})
     except (DomainError, CapacityError, ValueError, OSError) as exc:
         return 2, f"error: {exc}"
+    except OverflowError as exc:    # a closed-form bound's float ** past 1.8e308
+        return 2, f"error: a bound left the float range ({exc})"
 
 
 def main() -> None:

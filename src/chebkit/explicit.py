@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebotarev import FULL, AbelianExtension, ConjClass, _class_terms, trivial_extension
-from .characters import character_table
+from .chebotarev import FULL, AbelianExtension, ConjClass, _terms, trivial_extension
+from .characters import character
 from .errors import DomainError
 from .sieve import prime_powers
 from .weights import WeightSpec, laplace_transform
@@ -150,26 +150,18 @@ def zeta_log_deriv(n_max: int) -> LogDerivSeries:
 
 
 def character_log_deriv(q: int, char_index: int, n_max: int) -> LogDerivSeries:
-    """Coefficients Lambda(n) chi(n) for one Dirichlet character mod q.
-
-    The character is used in its mod-q form (zero at p | q), so principal
-    characters carry the missing-Euler-factor convention explicitly.
-    """
-    table = character_table(q)
-    if not (0 <= char_index < table.shape[0]):
-        raise DomainError(f"character index {char_index} out of range for q={q}")
-    values, primes, _ = prime_powers(n_max)
-    chi = table[char_index][values % q]
-    keep = chi != 0
-    return LogDerivSeries(values=values[keep], coeffs=(np.log(primes) * chi)[keep],
-                          n_max=n_max)
+    """Coefficients Lambda(n) chi(n), the class series of ``character(q,
+    char_index)``: chi mod q vanishes at p | q, so a principal character
+    carries the missing Euler factors."""
+    return class_log_deriv(*character(q, char_index), n_max)
 
 
-def class_log_deriv(ext: AbelianExtension, cls: ConjClass, n_max: int) -> LogDerivSeries:
-    """Coefficients Lambda(n) * [Frobenius class indicator]; identical to
-    the weighting used by the direct counters."""
-    kept, logp = _class_terms(ext, cls, *prime_powers(n_max)[:2])
-    return LogDerivSeries(values=kept, coeffs=logp.astype(complex), n_max=n_max)
+def class_log_deriv(ext: AbelianExtension, cls: ConjClass | np.ndarray,
+                    n_max: int) -> LogDerivSeries:
+    """Coefficients Lambda(n) * w(Frobenius(n)), for w the indicator of a
+    class or a class function cls; the weighting of weighted_prime_sum."""
+    kept, coeffs = _terms(ext, cls, *prime_powers(n_max)[:2])
+    return LogDerivSeries(values=kept, coeffs=coeffs.astype(complex), n_max=n_max)
 
 
 def support_cap(spec: WeightSpec) -> int:

@@ -12,8 +12,8 @@ import pytest
 
 from chebkit import bounds, bqf, chebotarev, elliptic, explicit, progressions
 from chebkit.cli import SUBCOMMANDS, build_parser, main, run
-from chebkit.sieve import li, primes_upto, segmented_primes
-from chebkit.weights import (check_decay_bound, check_growth_bound,
+from chebkit.sieve import li, prime_powers, primes_upto, segmented_primes
+from chebkit.weights import (WeightSpec, check_decay_bound, check_growth_bound,
                              check_left_line_bound, check_real_axis_bound,
                              laplace_transform, weight_value)
 
@@ -442,17 +442,65 @@ def test_oversized_integers_end_cleanly(monkeypatch, capsys):
 
 
 def test_requests_past_a_table_budget_exit_2_before_they_allocate(monkeypatch, capsys):
-    # a trace table to 4e9 and the characters mod 20011 (about 6.4 GB of
-    # complex values) are refused before the sieve or the table starts
+    # a trace table to 4e9 and a character mod 1048583, past the Frobenius
+    # map's 2^20 residues, are refused before the sieve or the map starts
     def refuse(*args):
         raise AssertionError("allocation started")
     monkeypatch.setattr(elliptic, "primes_upto", refuse)
     monkeypatch.setattr(explicit, "prime_powers", refuse)
     for argv, reason in ((["lang-trotter", "--curve", "0,1", "--x", "4e9"], "2^31"),
-                         (["mellin-check", "--q", "20011", "--char-index", "5", "--x", "1e4"],
-                          "budget")):
+                         (["mellin-check", "--q", "1048583", "--char-index", "5", "--x", "1e4"],
+                          "Frobenius map limit")):
         code, _, err = _exit_status(argv, monkeypatch, capsys)
         assert code == 2 and err.startswith("error: ") and reason in err, (argv, err)
+
+
+def test_a_single_character_past_the_table_budget_runs_in_small_memory():
+    # one character mod 20011 is one row of the map's size, not the 6.4 GB table
+    src = str(Path(chebotarev.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import resource, sys; from chebkit.cli import run; "
+              "code, _ = run(sys.argv[1:]); "
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", script, "mellin-check", "--q", "20011",
+                           "--char-index", "5", "--x", "1e4"],
+                          capture_output=True, text=True, env=env, check=True)
+    code, max_rss_kb = map(int, proc.stdout.split())
+    assert code == 0 and max_rss_kb < 200 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights-verify", "--x", "100", "--ell", "83", "--eps", "0.1", "--samples", "100"],
+    ["weights-verify", "--x", "1e70", "--ell", "2", "--eps", "0.1", "--samples", "100"],
+    ["mellin-check", "--q", "1", "--x", "50", "--ell", "95"],
+], ids=" ".join)
+# numpy's exp in laplace_transform overflows to inf first, with a warning
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_bound_past_the_float_range_exits_2(argv, monkeypatch, capsys):
+    code, _, err = _exit_status(argv, monkeypatch, capsys)
+    assert code == 2 and err.startswith("error: a bound left the float range")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "1", "--x", "50", "--t-max", "50"],
+    ["--q", "5", "--residue", "2", "--x", "50", "--t-max", "50"],
+    ["--q", "5", "--char-index", "1", "--x", "50", "--t-max", "50"],
+], ids=" ".join)
+def test_mellin_check_builds_no_series_past_the_support(argv, monkeypatch):
+    # contour_sum drops the terms past support_cap, so an --n-max past it
+    # sieves nothing more and reports the default run's bytes
+    default = run(["mellin-check", *argv])
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return prime_powers(limit)
+    monkeypatch.setattr(explicit, "prime_powers", spy)
+    assert run(["mellin-check", *argv, "--n-max", "30000000"]) == default
+    cap = explicit.support_cap(WeightSpec(x=50.0, ell=2, eps=0.1))
+    assert limits and max(limits) <= cap
 
 
 # Runs CLI invocations under a profiler and prints every Python function
