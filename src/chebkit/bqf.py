@@ -1,6 +1,7 @@
 """Positive-definite integral binary quadratic forms: Gauss reduction,
 class numbers, prime representation counts, and the density comparison
-against Li(x)/h(-D).
+against Li(x)/h(-D).  Residues and lattice rows come from floor division, which
+numpy does by a scalar as a multiply and shift where % divides each entry.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .arith import factorize, squarefree_kernel
 from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
 from .reports import PowerValue
-from .sieve import CountSeries, _blocks, li, primes_upto
+from .sieve import CountSeries, _blocks, _mod, li, primes_upto
 
 # the D with h(-D) = 1: the fundamental ones (Heegner-Baker-Stark) and the
 # orders of discriminant -12, -16, -27 and -28
@@ -137,12 +138,15 @@ def represented_values(form: ReducedForm, x: int) -> np.ndarray:
     a, b, c, D = form.a, form.b, form.c, form.D
     rep = np.zeros(x + 1, dtype=bool)
     for n in range(math.isqrt(4 * a * x // D) + 1):   # Q(m, n) = Q(-m, -n): rows n < 0 repeat
+        # 4a Q(m, n) = (2am + bn)^2 + D n^2: |2am + bn| <= root gives Q(m, n) <= x
         root = math.isqrt(4 * a * x - D * n * n)
-        m_lo = math.ceil((-b * n - root) / (2 * a))
-        m_hi = math.floor((-b * n + root) / (2 * a))
-        m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-        v = a * m * m + b * m * n + c * n * n
-        v = v[v <= x]                   # Q is positive definite: v >= 0
+        m = np.arange(-((b * n + root) // (2 * a)), (root - b * n) // (2 * a) + 1, dtype=np.int64)
+        v = a * m
+        v += b * n
+        v *= m
+        v += c * n * n                  # Q is positive definite: v >= 0
+        if v.size and max(v[0], v[-1]) > x:     # Q is convex along the row: largest at its ends
+            raise AssertionError(f"row n = {n} of {form} passes x = {x}")
         rep[v] = True
     return rep
 
@@ -166,7 +170,7 @@ def count_represented_primes(form: ReducedForm, x: int,
     if form.D in _CLASS_NUMBER_ONE:
         field = quadratic_field(squarefree_kernel(-form.D))
         index, mod = field.index, abs(field.disc)
-        split = (b[index[b % mod] == 0] for b in _blocks(ps[1:]))    # ps[0] = 2 when x >= 2
+        split = (b[index[_mod(b, mod)] == 0] for b in _blocks(ps[1:]))    # ps[0] = 2 when x >= 2
         ps = np.array([p for p in factorize(2 * form.D) if p <= x], dtype=np.int64)
     rep = represented_values(form, int(ps[-1]) if ps.size else 0)
     lattice = (b[rep[b]] for b in _blocks(ps))

@@ -25,7 +25,7 @@ from .arith import factorize, is_squarefree, kronecker
 from .bounds import FieldInvariants, range_thresholds
 from .errors import CapacityError, DomainError
 from .reports import BoundReport, PowerValue
-from .sieve import _blocks, _higher_powers, li, prime_powers, primes_upto
+from .sieve import _blocks, _higher_powers, _mod, li, prime_powers, primes_upto
 from .weights import WeightSpec, weight_value
 
 SPLIT = "split"
@@ -68,10 +68,10 @@ def quadratic_field(d: int) -> AbelianExtension:
     r, symbol, two_part = np.arange(abs(disc)), np.ones(abs(disc), np.int8), disc
     for p in factorize(disc).keys() - {2}:
         legendre = np.full(p, -1, np.int8)
-        legendre[np.arange(p) ** 2 % p], legendre[0] = 1, 0
-        symbol *= legendre[r % p]
+        legendre[_mod(np.arange(p) ** 2, p)], legendre[0] = 1, 0
+        symbol *= legendre[_mod(r, p)]
         two_part //= p if p % 4 == 1 else -p
-    symbol *= np.array([kronecker(two_part, n) for n in range(8)], np.int8)[r % 8]
+    symbol *= np.array([kronecker(two_part, n) for n in range(8)], np.int8)[_mod(r, 8)]
     # symbol 1, -1, 0 -> split (0), inert (1), ramified (2)
     index = np.array([2, 0, 1], np.int32)[symbol]
     return AbelianExtension("quadratic", disc, index, (SPLIT, INERT), np.ones(2, int))
@@ -139,7 +139,7 @@ def _class_values(ext: AbelianExtension, w, n: np.ndarray) -> np.ndarray:
         w = np.arange(len(ext.labels)) == _class_index(ext, w)
     elif len(w) != len(ext.labels):
         raise DomainError(f"a class function needs {len(ext.labels)} values, one per label")
-    return np.append(w, 0)[ext.index[n % abs(ext.disc)]]
+    return np.append(w, 0)[ext.index[_mod(n, abs(ext.disc))]]
 
 
 def _terms(ext: AbelianExtension, w, values: np.ndarray,
@@ -164,12 +164,12 @@ def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, ...]:
     below = int(np.searchsorted(ps, math.ceil(x)))     # an int: a float x casts ps to float
     first, theta = np.zeros(n, dtype=np.int64), np.zeros(n)
     for b in _blocks(ps[:below]):
-        k = ext.index[b % mod]
+        k = ext.index[_mod(b, mod)]
         first += np.bincount(k, minlength=n)
         np.add.at(theta, k, np.log(b))
-    pi = first + np.bincount(ext.index[ps[below:] % mod], minlength=n)   # x itself, if prime
+    pi = first + np.bincount(ext.index[_mod(ps[below:], mod)], minlength=n)   # x itself, if prime
     values, primes, exps = _higher_powers(math.ceil(x) - 1)
-    kh = ext.index[values % mod]
+    kh = ext.index[_mod(values, mod)]
     psi = theta + np.bincount(kh, weights=np.log(primes), minlength=n)
     higher = np.bincount(kh, weights=1.0 / exps, minlength=n)
     return pi[:-1], theta[:-1], psi[:-1], first[:-1], higher[:-1]

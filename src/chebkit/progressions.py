@@ -1,9 +1,10 @@
 """Primes in arithmetic progressions and the Brun-Titchmarsh checks.
 
 Counting is exact: one blocked bincount of the sieve's primes by residue per
-(q, x) serves every residue's query; the two inequality checks compare that count
-against the Montgomery-Vaughan bound and the sharper piecewise-constant
-bound with an explicit o(1) slack.
+(q, x) serves every residue's query, its residues taken by floor division, which
+numpy does by a scalar as a multiply and shift where % divides each prime.  The
+two inequality checks compare that count against the Montgomery-Vaughan bound
+and the sharper piecewise-constant bound with an explicit o(1) slack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .bounds import brun_titchmarsh_constant
 from .chebotarev import _MAX_MODULUS
 from .errors import CapacityError, DomainError
 from .reports import BoundReport
-from .sieve import _blocks, primes_upto
+from .sieve import _blocks, _mod, primes_upto
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ def pi_ap(query: APQuery) -> int:
     if q == 1:
         return int(primes_upto(query.x).size)
     if q > _MAX_MODULUS:    # no q-entry vector; past x (q may pass int64) p is its own residue
-        return sum(int(np.count_nonzero((b if q > query.x else b % q) == a))
+        return sum(int(np.count_nonzero((b if q > query.x else _mod(b, q)) == a))
                    for b in _blocks(primes_upto(query.x)))
     return int(residue_counts(q, query.x)[a])
 
@@ -69,8 +70,8 @@ def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.nda
     if primes is None:
         return _counts(q, math.floor(x))
     counts = np.zeros(q, dtype=np.int64)
-    for b in _blocks(primes):
-        counts += np.bincount(b[b <= x] % q, minlength=q)
+    for b in _blocks(primes):     # a sorted table has one block across x to mask
+        counts += np.bincount(_mod(b if b.max() <= x else b[b <= x], q), minlength=q)
     return counts
 
 

@@ -95,7 +95,9 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
     if hi > _MEMORY_BUDGET:
         raise CapacityError(f"hi={hi} exceeds memory budget {_MEMORY_BUDGET}")
     base = simple_sieve(math.isqrt(hi - 1))[1:].tolist()
-    chunks = [np.array([2] if lo == 2 else [], dtype=np.int64)]
+    # one buffer of pi(y) < 1.25506 y/log y slots, y > 1 (Rosser and Schoenfeld 1962)
+    out = np.empty(int(1.25506 * (hi - 1) / math.log(hi - 1)) + 1, dtype=np.int64)
+    out[0], k = 2, int(lo == 2)          # the slot of 2 is written over unless lo = 2
     for start in range(lo | 1, hi, 2 * _SEGMENT_SIZE):
         stop = min(start + 2 * _SEGMENT_SIZE, hi)
         mask = np.ones((stop - start + 1) // 2, dtype=bool)
@@ -104,8 +106,11 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
                 break
             first = max(p * p, -(-start // p) * p)
             mask[(first + p * (first % 2 == 0) - start) // 2:: p] = False
-        chunks.append(np.flatnonzero(mask) * 2 + start)
-    return np.concatenate(chunks)
+        found = np.flatnonzero(mask) * 2 + start
+        out[k:k + found.size] = found
+        k += found.size
+    out.resize(k, refcheck=False)        # in place, so the primes are never held twice
+    return out
 
 
 # (top, the primes <= top): replaced whole, never mutated, so a reader
@@ -125,6 +130,13 @@ def primes_upto(n: int | float) -> np.ndarray:
         primes = np.concatenate((primes, new)) if primes.size else new
         _table = (n, primes)
     return primes[: int(np.searchsorted(primes, n, side="right"))]
+
+
+def _mod(a: np.ndarray, m: int) -> np.ndarray:
+    """a % m by floor division (a multiply and shift), with one temporary as % makes."""
+    r = a // m
+    r *= m
+    return np.subtract(a, r, out=r)
 
 
 def _blocks(a: np.ndarray):

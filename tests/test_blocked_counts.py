@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chebkit import chebotarev, progressions, sieve
 from chebkit.arith import factorize, squarefree_kernel
@@ -76,6 +77,36 @@ def test_blocked_residue_counts_equal_one_pass(cut, q):
     assert np.array_equal(kept, expect) and np.array_equal(given_primes, expect)
     assert kept.dtype == given_primes.dtype == np.int64
     progressions._counts.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=hnp.arrays(np.int64, st.integers(0, 50)), m=st.integers(1, 2**33),
+       step=st.sampled_from([1, 2, 3, -1, -2]))
+@example(a=np.array([np.iinfo(np.int64).min, -2**33 - 1, -1, 0, 1, 2**33, np.iinfo(np.int64).max]),
+         m=2**33, step=1)
+def test_mod_by_floor_division_equals_remainder(a, m, step):
+    view = a[::step]                                  # a strided view for |step| > 1
+    got = sieve._mod(view, m)
+    assert got.dtype == np.int64 and np.array_equal(got, view % m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(primes=st.lists(st.sampled_from(_PRIMES[:300].tolist()), max_size=80),
+       x=st.integers(0, 2000), shift=st.sampled_from([0.0, 0.5]),
+       block=st.integers(1, 9), q=st.integers(1, 60))
+@example(primes=_PRIMES[:40].tolist(), x=int(_PRIMES[11]), shift=0.0, block=4, q=7)
+@example(primes=_PRIMES[:40].tolist(), x=int(_PRIMES[10]), shift=0.5, block=4, q=7)
+@example(primes=_PRIMES[40:0:-1].tolist() * 2, x=100, shift=0.0, block=3, q=12)
+def test_residue_counts_masks_only_blocks_past_x(primes, x, shift, block, q):
+    # drawn lists are unsorted and repeat; the examples hold ascending primes
+    # with one block across x and the last blocks wholly past it
+    ps = np.array(primes, dtype=np.int64)
+    x = x + shift
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_BLOCK", block)
+        got = residue_counts(q, x, ps)
+    assert np.array_equal(got, np.bincount(ps[ps <= x] % q, minlength=q))
+    assert got.dtype == np.int64
 
 
 @settings(max_examples=60, deadline=None)

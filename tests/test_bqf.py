@@ -1,9 +1,12 @@
 import math
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebkit import bqf
 from chebkit.arith import factorize, kronecker
@@ -214,6 +217,29 @@ def test_represented_primes_against_naive_oracle():
     for (a, b, c), x in (((4, 4, 5), 100), ((2, 1, 3), 0)):
         assert np.array_equal(represented_values(ReducedForm(a, b, c), x),
                               naive_represented_values(a, b, c, x)), (a, b, c, x)
+
+
+_DISCRIMINANTS = [D for D in range(3, 2001) if (-D) % 4 in (0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.sampled_from(_DISCRIMINANTS), n=st.integers(0, 12), edge=st.integers(-1, 1),
+       data=st.data())
+def test_lattice_rows_at_a_row_tip_match_the_oracle(D, n, edge, data):
+    # x at, one below or one above the least value on row n, so that row
+    # holds zero, one or two points
+    f = data.draw(st.sampled_from(class_number(D).forms))
+    m = -f.b * n // (2 * f.a)
+    x = max(min(f.a * k * k + f.b * k * n + f.c * n * n for k in (m, m + 1)) + edge, 0)
+    assert np.array_equal(represented_values(f, x), naive_represented_values(f.a, f.b, f.c, x))
+
+
+def test_lattice_row_guard_refuses_a_row_past_x(monkeypatch):
+    # with every row's root one too large, row n = 1 of x^2 + y^2 at x = 4 takes m = 2
+    form = ReducedForm(1, 0, 1)
+    monkeypatch.setattr(bqf, "math", SimpleNamespace(isqrt=lambda v: math.isqrt(v) + 1))
+    with pytest.raises(AssertionError, match="row n = 1 .* passes x = 4"):
+        represented_values(form, 4)
 
 
 def test_value_not_representing_two():
