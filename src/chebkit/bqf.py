@@ -124,9 +124,8 @@ def class_number(D: int) -> ClassGroupSummary:
 
 
 def delta_q(form: ReducedForm) -> float:
-    """1/2 when the form is properly equivalent to its opposite, else 1."""
-    opposite = reduce_form(form.a, -form.b, form.c)
-    return 0.5 if opposite == form else 1.0
+    """1/2 when the reduced form equals its opposite, just when b = 0, b = a or a = c; else 1."""
+    return 0.5 if form.b in (0, form.a) or form.a == form.c else 1.0
 
 
 def represented_values(form: ReducedForm, x: int) -> np.ndarray:

@@ -84,7 +84,7 @@ def character(q: int, index: int) -> tuple[AbelianExtension, np.ndarray]:
     return ext, w
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def character_table(q: int) -> np.ndarray:
     """All phi(q) Dirichlet characters mod q as a read-only (phi(q), q) complex
     array, the stack of their ``character`` rows; a table past

@@ -77,6 +77,7 @@ def quadratic_field(d: int) -> AbelianExtension:
     return AbelianExtension("quadratic", disc, index, (SPLIT, INERT), np.ones(2, int))
 
 
+@lru_cache(maxsize=1)
 def cyclotomic_field(q: int) -> AbelianExtension:
     if q < 3:
         raise DomainError("cyclotomic field needs q >= 3")
@@ -87,7 +88,9 @@ def cyclotomic_field(q: int) -> AbelianExtension:
         unit[::p] = False
     labels = tuple(np.flatnonzero(unit).tolist())
     index = np.where(unit, np.cumsum(unit) - 1, len(labels)).astype(np.int32)
-    return AbelianExtension("cyclotomic", q, index, labels, np.ones(len(labels), int))
+    sizes = np.ones(len(labels), int)
+    index.flags.writeable = sizes.flags.writeable = False   # the cache hands them to every caller
+    return AbelianExtension("cyclotomic", q, index, labels, sizes)
 
 
 def trivial_extension() -> AbelianExtension:

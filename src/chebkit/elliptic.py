@@ -26,8 +26,8 @@ from .sieve import CountSeries, primes_upto
 _CHARSUM_CUTOFF = 1_000
 _CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
 _CHARSUM_CHUNK = 2 ** 16      # x per chunk of its sweep: int64 arrays of 512 kB
-_BSGS_RESAMPLE_LIMIT = 8      # points a lane draws (BSGS or CM check) before the character sum
-_BLOCK_ENTRIES = 2 ** 16      # baby steps per block of BSGS lanes, lanes per CM block
+_BSGS_RESAMPLE_LIMIT = 8      # rounds, one draw each, of every lane kind before the character sum
+_BLOCK_ENTRIES = 2 ** 16      # lanes per CM block; baby steps per BSGS block
 _LANE_LIMIT = 2 ** 31
 _TRACE_CACHE_CURVES = 6      # a second pass over six curves re-traces none
 # the j-invariants in Q of the curves with complex multiplication, each with
@@ -329,40 +329,34 @@ def _cornacchia(p, D):
     return b, np.sqrt((4 * p - b * b) // -D).astype(np.int64)
 
 
-def _cm_traces(p, A, B, D):
-    """(a_p, solved) at good primes p >= 5 of a curve with CM by the field
-    K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At split p,
-    a_p is the trace of u pi for a unit u of O_K, where 4p = t^2 + |D| v^2:
-    one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2 for D = -3.  A lane
-    takes the one candidate c with (p + 1 - chi(f) c) Q = O for the point Q
-    of ``_draw``, comparing (p + 1) Q with |c| Q; with none or several, or
-    (p + 1) Q = O, it draws again.  A BSGS round on that point would fail
-    too, so ramified lanes and lanes that no draw settles stay open."""
-    ap, solved = np.zeros_like(p), np.zeros(p.size, bool)
+def _cm_round(p, A, B, r, D):
+    """(a_p, solved) for one block of lanes on draw r, on a curve with CM by
+    the field K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At
+    split p, a_p is the trace of u pi for a unit u of O_K, where
+    4p = t^2 + |D| v^2: one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2
+    for D = -3.  A lane takes the one candidate c with (p + 1 - chi(f) c) Q = O
+    for the point Q of ``_draw``, comparing (p + 1) Q with |c| Q; with none or
+    several, or (p + 1) Q = O, it stays open for the next draw.  A BSGS round
+    on that point would fail too, so ramified lanes stay open as well."""
     legendre = _powmod(D % p, (p - 1) // 2, p)
-    solved[legendre == p - 1] = True
+    ap, solved = np.zeros_like(p), legendre == p - 1
     live = np.flatnonzero(legendre == 1)
     t, v = _cornacchia(p[live], D)
     live, t, v = (c[t * t - D * v * v == 4 * p[live]] for c in (live, t, v))
-    mags = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
-    k = len(mags)
-    for r in range(_BSGS_RESAMPLE_LIMIT):
-        q = p[live]
-        f, chi, a, Q = _draw(q, A[live], B[live], r)
-        R = _mul(q + 1, Q, _dbl((*Q, np.ones_like(q)), a, q), a, q)
-        one = (R[2] != 0) & (f != 0)        # (p + 1) Q = O: every c with c Q = O would match
-        q, a, Q, R, m = *(np.tile(c, k) for c in (q, a, Q, R)), mags.ravel()  # candidate-major
-        C = _mul(m, Q, _dbl((*Q, np.ones_like(q)), a, q), a, q)
-        same_x = (C[2] != 0) & ((R[0] * C[2] - C[0] * R[2]) % q == 0)   # R != O = |c| Q
-        yr, yc = R[1] * C[2] % q, C[1] * R[2] % q
-        plus, minus = same_x & (yr == yc), same_x & ((yr + yc) % q == 0)   # R = C, R = -C
-        one &= (plus.astype(np.int64) + minus).reshape(k, -1).sum(axis=0) == 1
-        c = (m * plus - m * minus).reshape(k, -1).sum(axis=0)
-        ap[live] = chi * c
-        solved[live[one]] = True
-        live, mags = live[~one], mags[:, ~one]
-        if not live.size:
-            break
+    m = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
+    k, q = len(m), p[live]
+    f, chi, a, Q = _draw(q, A[live], B[live], r)
+    Q2 = _dbl((*Q, np.ones_like(q)), a, q)
+    R = _mul(q + 1, Q, Q2, a, q)
+    one = (R[2] != 0) & (f != 0)        # (p + 1) Q = O: every c with c Q = O would match
+    q, a, Q, Q2, R, m = *(np.tile(c, k) for c in (q, a, Q, Q2, R)), m.ravel()  # candidate-major
+    C = _mul(m, Q, Q2, a, q)
+    same_x = (C[2] != 0) & ((R[0] * C[2] - C[0] * R[2]) % q == 0)   # R != O = |c| Q
+    yr, yc = R[1] * C[2] % q, C[1] * R[2] % q
+    plus, minus = same_x & (yr == yc), same_x & ((yr + yc) % q == 0)   # R = C, R = -C
+    one &= (plus.astype(np.int64) + minus).reshape(k, -1).sum(axis=0) == 1
+    ap[live] = chi * (m * plus - m * minus).reshape(k, -1).sum(axis=0)
+    solved[live[one]] = True
     return ap, solved
 
 
@@ -370,13 +364,14 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     """Exact a_p = p + 1 - #E(F_p) for an ascending array of good primes.
 
     'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
-    runs one lockstep baby-step giant-step search over blocks of primes and
-    falls back to the character sum where no round's point settles #E;
+    runs lockstep baby-step giant-step searches over blocks of primes;
     'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
     with complex multiplication, settles the others in closed form: a_p = 0
     at inert primes, and at split ones the Cornacchia candidate that a point
-    singles out, where a lane no point settles takes the character sum.
-    'bsgs' and 'charsum' never use the closed form.  A composite raises
+    singles out.  Either kind of lane runs in rounds: round r draws point r
+    on every lane still open, block by block, and a lane that no round of
+    ``_BSGS_RESAMPLE_LIMIT`` settles takes the character sum.  'bsgs' and
+    'charsum' never use the closed form.  A composite raises
     ``DomainError``; primes >= 2^31 raise ``CapacityError``: the lanes
     multiply residues in int64; so does a character sum at p > 2^28
     (``_CHARSUM_LIMIT``)."""
@@ -393,21 +388,19 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
     A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
     todo = np.arange(np.searchsorted(ps, cutoff), ps.size)
-    if method == "auto" and curve.has_cm:
-        for i in range(0, todo.size, _BLOCK_ENTRIES):
-            block = todo[i:i + _BLOCK_ENTRIES]
-            out[block], solved[block] = _cm_traces(ps[block], A[block], B[block], curve._cm_disc)
-    else:
-        for r in range(_BSGS_RESAMPLE_LIMIT):   # one round on every open lane, then resample
-            i = 0
-            while i < todo.size:        # blocks of about _BLOCK_ENTRIES baby steps
-                M = _baby_steps(ps[todo[min(i + _BLOCK_ENTRIES // _baby_steps(ps[todo[i]]),
-                                            todo.size) - 1]])
-                block = todo[i:i + _BLOCK_ENTRIES // M]
-                out[block], solved[block] = _bsgs_round(ps[block], A[block], B[block], r, M)
-                i += block.size
-            todo = todo[~solved[todo]]
-    for k in np.flatnonzero(~solved):       # below the cutoff, or left open
+    D = curve._cm_disc if method == "auto" else None
+    for r in range(_BSGS_RESAMPLE_LIMIT):   # one round on every open lane, then resample
+        i = 0
+        while i < todo.size:        # blocks of _BLOCK_ENTRIES CM lanes, or about as many baby steps
+            M = 1 if D else _baby_steps(ps[todo[min(i + _BLOCK_ENTRIES // _baby_steps(ps[todo[i]]),
+                                                   todo.size) - 1]])
+            block = todo[i:i + _BLOCK_ENTRIES // M]
+            args = ps[block], A[block], B[block], r
+            out[block], solved[block] = _cm_round(*args, D) if D else _bsgs_round(*args, M)
+            i += block.size
+        todo = todo[~solved[todo]]
+    # below the cutoff, or left open: the one route from the CLI to trace_of_frobenius
+    for k in np.flatnonzero(~solved):
         out[k] = trace_of_frobenius(curve, int(ps[k]), "charsum").a_p
     return out
 

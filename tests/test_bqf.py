@@ -180,10 +180,12 @@ def test_delta_q_values():
 
 
 def test_ambiguity_flags_match_delta():
-    for D in (4, 20, 23, 40):
+    for D in (D for D in range(3, 3001) if -D % 4 in (0, 1)):
         s = class_number(D)
         for f, flag in zip(s.forms, s.ambiguous):
             assert flag == (delta_q(f) == 0.5)
+            # a form is ambiguous just when it equals its reduced opposite
+            assert delta_q(f) == (0.5 if reduce_form(f.a, -f.b, f.c) == f else 1.0)
 
 
 # ------------------------------------------------------- representation

@@ -55,6 +55,22 @@ def test_character_rows_equal_the_product_loop_table(q, pick):
     assert character_table(q).tobytes() == reference.tobytes()
 
 
+def test_character_table_cache_keeps_one_table():
+    character_table(5)
+    character_table(7)
+    assert character_table.cache_info().currsize == 1
+
+
+def test_character_table_builds_the_cyclotomic_map_once():
+    character_table.cache_clear()
+    cyclotomic_field.cache_clear()
+    character_table(11)
+    assert cyclotomic_field.cache_info().misses == 1
+    # the cache hands the one field to every caller: its arrays are not writeable
+    field = cyclotomic_field(11)
+    assert not field.index.flags.writeable and not field.sizes.flags.writeable
+
+
 def test_character_index_out_of_range_and_small_moduli():
     for q in (1, 2, 5, 12):
         count = character_table(q).shape[0]

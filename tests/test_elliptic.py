@@ -171,6 +171,22 @@ def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
     assert np.array_equal(auto[small], frobenius_traces(E, ps[small], "charsum"))
 
 
+def test_cm_lanes_draw_round_major(monkeypatch):
+    # y^2 = x^3 + 1 to 5e4 in blocks of 1024 lanes: five blocks, the first of
+    # which draws three times; every block takes draw r before any takes r + 1
+    E = cm_curve(0)
+    ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
+    rounds, draw = [], elliptic._draw
+    monkeypatch.setattr(elliptic, "_BLOCK_ENTRIES", 1024)
+    monkeypatch.setattr(elliptic, "_draw", lambda p, A, B, r: rounds.append(r) or draw(p, A, B, r))
+    auto = frobenius_traces(E, ps)
+    assert rounds.count(0) >= 3 and max(rounds) >= 2
+    assert rounds == sorted(rounds)
+    monkeypatch.undo()
+    assert np.array_equal(auto, frobenius_traces(E, ps, "bsgs"))
+    assert np.array_equal(auto, frobenius_traces(E, ps, "charsum"))
+
+
 @pytest.mark.parametrize("A,B,p", [(-6, 0, 16901), (1, 0, 17957)])
 def test_bsgs_settles_a_square_group_through_the_twist(monkeypatch, A, B, p):
     # E(F_p) = Z/n x Z/n with n = sqrt(p - 1): no point of E singles #E out
