@@ -1,7 +1,6 @@
 """Positive-definite integral binary quadratic forms: Gauss reduction,
 class numbers, prime representation counts, and the density comparison
-against Li(x)/h(-D).  Residues and lattice rows come from floor division, which
-numpy does by a scalar as a multiply and shift where % divides each entry.
+against Li(x)/h(-D).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from .arith import factorize, squarefree_kernel
 from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
 from .reports import PowerValue
-from .sieve import CountSeries, _blocks, _mod, li, primes_upto
+from .sieve import CountSeries, _blocks, li, primes_upto
 
 # the D with h(-D) = 1: the fundamental ones (Heegner-Baker-Stark) and the
 # orders of discriminant -12, -16, -27 and -28
@@ -168,8 +167,7 @@ def count_represented_primes(form: ReducedForm, x: int,
     split = ()
     if form.D in _CLASS_NUMBER_ONE:
         field = quadratic_field(squarefree_kernel(-form.D))
-        index, mod = field.index, abs(field.disc)
-        split = (b[index[_mod(b, mod)] == 0] for b in _blocks(ps[1:]))    # ps[0] = 2 when x >= 2
+        split = (b[field.classes(b) == 0] for b in _blocks(ps[1:]))    # ps[0] = 2 when x >= 2
         ps = np.array([p for p in factorize(2 * form.D) if p <= x], dtype=np.int64)
     rep = represented_values(form, int(ps[-1]) if ps.size else 0)
     lattice = (b[rep[b]] for b in _blocks(ps))

@@ -76,7 +76,7 @@ def character(q: int, index: int) -> tuple[AbelianExtension, np.ndarray]:
     orders = [d for (_, d, _) in comps]
     if not 0 <= index < math.prod(orders):
         raise DomainError(f"character index {index} out of range for q={q}")
-    units = np.flatnonzero(ext.index < len(ext.labels))
+    units = np.flatnonzero(ext.classes(np.arange(abs(ext.disc))) < len(ext.labels))
     w = np.ones(units.size, dtype=complex)
     # the components in the table's product order: the last one varies fastest
     for k, (modulus, d, table) in zip(np.unravel_index(index, orders), comps):

@@ -44,7 +44,7 @@ class AbelianExtension:
 
     kind: str                 # "quadratic" | "cyclotomic" | "trivial"; only a label
     disc: int                 # the cyclotomic conductor stands in for it
-    index: np.ndarray         # int32, one entry per residue mod |disc|
+    index: np.ndarray         # int32, one entry per residue mod |disc|; other modules call classes
     labels: tuple             # class keys, in residue order
     sizes: np.ndarray         # |C| of each class
 
@@ -55,6 +55,10 @@ class AbelianExtension:
     @property
     def ramified(self) -> frozenset:
         return frozenset(factorize(self.disc))
+
+    def classes(self, n: np.ndarray) -> np.ndarray:
+        """Class position of Frobenius(p)^m at each int64 n = p^m; len(labels) where p ramifies."""
+        return self.index[_mod(n, abs(self.disc))]
 
 
 def quadratic_field(d: int) -> AbelianExtension:
@@ -142,7 +146,7 @@ def _class_values(ext: AbelianExtension, w, n: np.ndarray) -> np.ndarray:
         w = np.arange(len(ext.labels)) == _class_index(ext, w)
     elif len(w) != len(ext.labels):
         raise DomainError(f"a class function needs {len(ext.labels)} values, one per label")
-    return np.append(w, 0)[ext.index[_mod(n, abs(ext.disc))]]
+    return np.append(w, 0)[ext.classes(n)]
 
 
 def _terms(ext: AbelianExtension, w, values: np.ndarray,
@@ -158,21 +162,21 @@ def _terms(ext: AbelianExtension, w, values: np.ndarray,
 def _census(ext: AbelianExtension, x: float) -> tuple[np.ndarray, ...]:
     """pi_C(x), theta_C(x), psi_C(x), #{p < x} and the sum of 1/m over
     p^m < x with m >= 2, for every class in label order, from one pass over
-    the primes in blocks: each prime's class is one lookup in ext.index, and
+    the primes in blocks: each prime's class is one read of ext.classes, and
     each counter adds up by class (theta in prime order, so to the bit as one
     weighted bincount), the last bin (the ramified primes) dropped.  The last
     (ext, x) asked is kept; it holds no per-prime arrays."""
-    mod, n = abs(ext.disc), len(ext.labels) + 1
+    n = len(ext.labels) + 1
     ps = primes_upto(x)
     below = int(np.searchsorted(ps, math.ceil(x)))     # an int: a float x casts ps to float
     first, theta = np.zeros(n, dtype=np.int64), np.zeros(n)
     for b in _blocks(ps[:below]):
-        k = ext.index[_mod(b, mod)]
+        k = ext.classes(b)
         first += np.bincount(k, minlength=n)
         np.add.at(theta, k, np.log(b))
-    pi = first + np.bincount(ext.index[_mod(ps[below:], mod)], minlength=n)   # x itself, if prime
+    pi = first + np.bincount(ext.classes(ps[below:]), minlength=n)   # x itself, if prime
     values, primes, exps = _higher_powers(math.ceil(x) - 1)
-    kh = ext.index[_mod(values, mod)]
+    kh = ext.classes(values)
     psi = theta + np.bincount(kh, weights=np.log(primes), minlength=n)
     higher = np.bincount(kh, weights=1.0 / exps, minlength=n)
     return pi[:-1], theta[:-1], psi[:-1], first[:-1], higher[:-1]

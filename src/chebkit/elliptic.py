@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import squarefree_kernel
+from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
 from .sieve import CountSeries, primes_upto
 
 _CHARSUM_CUTOFF = 1_000
 _CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
 _CHARSUM_CHUNK = 2 ** 16      # x per chunk of its sweep: int64 arrays of 512 kB
-_BSGS_RESAMPLE_LIMIT = 8      # rounds, one draw each, of every lane kind before the character sum
+_ROUNDS = 8                   # rounds, one draw each, of every lane kind before the character sum
 _BLOCK_ENTRIES = 2 ** 16      # lanes per CM block; baby steps per BSGS block
 _LANE_LIMIT = 2 ** 31
 _TRACE_CACHE_CURVES = 6      # a second pass over six curves re-traces none
@@ -329,7 +330,7 @@ def _cornacchia(p, D):
     return b, np.sqrt((4 * p - b * b) // -D).astype(np.int64)
 
 
-def _cm_round(p, A, B, r, D):
+def _cm_round(p, A, B, r, K):
     """(a_p, solved) for one block of lanes on draw r, on a curve with CM by
     the field K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At
     split p, a_p is the trace of u pi for a unit u of O_K, where
@@ -338,9 +339,9 @@ def _cm_round(p, A, B, r, D):
     for the point Q of ``_draw``, comparing (p + 1) Q with |c| Q; with none or
     several, or (p + 1) Q = O, it stays open for the next draw.  A BSGS round
     on that point would fail too, so ramified lanes stay open as well."""
-    legendre = _powmod(D % p, (p - 1) // 2, p)
-    ap, solved = np.zeros_like(p), legendre == p - 1
-    live = np.flatnonzero(legendre == 1)
+    k, D = K.classes(p), K.disc             # K's classes: split (0), inert (1), ramified (2)
+    ap, solved = np.zeros_like(p), k == 1
+    live = np.flatnonzero(k == 0)
     t, v = _cornacchia(p[live], D)
     live, t, v = (c[t * t - D * v * v == 4 * p[live]] for c in (live, t, v))
     m = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
@@ -370,7 +371,7 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     at inert primes, and at split ones the Cornacchia candidate that a point
     singles out.  Either kind of lane runs in rounds: round r draws point r
     on every lane still open, block by block, and a lane that no round of
-    ``_BSGS_RESAMPLE_LIMIT`` settles takes the character sum.  'bsgs' and
+    ``_ROUNDS`` settles takes the character sum.  'bsgs' and
     'charsum' never use the closed form.  A composite raises
     ``DomainError``; primes >= 2^31 raise ``CapacityError``: the lanes
     multiply residues in int64; so does a character sum at p > 2^28
@@ -389,14 +390,15 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
     todo = np.arange(np.searchsorted(ps, cutoff), ps.size)
     D = curve._cm_disc if method == "auto" else None
-    for r in range(_BSGS_RESAMPLE_LIMIT):   # one round on every open lane, then resample
+    K = quadratic_field(squarefree_kernel(D)) if D else None
+    for r in range(_ROUNDS):   # one round on every open lane, then resample
         i = 0
         while i < todo.size:        # blocks of _BLOCK_ENTRIES CM lanes, or about as many baby steps
-            M = 1 if D else _baby_steps(ps[todo[min(i + _BLOCK_ENTRIES // _baby_steps(ps[todo[i]]),
+            M = 1 if K else _baby_steps(ps[todo[min(i + _BLOCK_ENTRIES // _baby_steps(ps[todo[i]]),
                                                    todo.size) - 1]])
             block = todo[i:i + _BLOCK_ENTRIES // M]
             args = ps[block], A[block], B[block], r
-            out[block], solved[block] = _cm_round(*args, D) if D else _bsgs_round(*args, M)
+            out[block], solved[block] = _cm_round(*args, K) if K else _bsgs_round(*args, M)
             i += block.size
         todo = todo[~solved[todo]]
     # below the cutoff, or left open: the one route from the CLI to trace_of_frobenius

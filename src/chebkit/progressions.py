@@ -1,10 +1,9 @@
 """Primes in arithmetic progressions and the Brun-Titchmarsh checks.
 
 Counting is exact: one blocked bincount of the sieve's primes by residue per
-(q, x) serves every residue's query, its residues taken by floor division, which
-numpy does by a scalar as a multiply and shift where % divides each prime.  The
-two inequality checks compare that count against the Montgomery-Vaughan bound
-and the sharper piecewise-constant bound with an explicit o(1) slack.
+(q, x) serves every residue's query.  The two inequality checks compare that
+count against the Montgomery-Vaughan bound and the sharper piecewise-constant
+bound with an explicit o(1) slack.
 """
 
 from __future__ import annotations

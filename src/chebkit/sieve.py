@@ -133,7 +133,8 @@ def primes_upto(n: int | float) -> np.ndarray:
 
 
 def _mod(a: np.ndarray, m: int) -> np.ndarray:
-    """a % m by floor division (a multiply and shift), with one temporary as % makes."""
+    """a % m by floor division, with one temporary as % makes: numpy divides an
+    int64 array by a scalar as a multiply and shift, where % divides each entry."""
     r = a // m
     r *= m
     return np.subtract(a, r, out=r)

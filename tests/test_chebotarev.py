@@ -135,6 +135,40 @@ def test_frobenius_map_matches_its_definitions(d, q, p, m):
     assert cyc.ramified == _prime_divisors(q)
 
 
+def _int64_near(modulus):
+    """int64 n below the modulus, at its multiples and their neighbours, and
+    at or above 2^31."""
+    top = 2**63 - 1
+    multiple = st.integers(0, top // modulus).map(lambda k: k * modulus)
+    return st.one_of(st.integers(0, modulus - 1), multiple,
+                     st.tuples(multiple, st.sampled_from([-1, 1])).map(sum)
+                     .filter(lambda n: 0 <= n <= top),
+                     st.integers(2**31, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       d=st.integers(-500, 500).filter(lambda d: d not in (0, 1) and _squarefree(d)))
+def test_quadratic_classes_match_kronecker(data, d):
+    ext = quadratic_field(d)
+    n = data.draw(st.lists(_int64_near(abs(ext.disc)), min_size=1, max_size=30))
+    got = ext.classes(np.array(n, dtype=np.int64)).tolist()
+    assert got == [{1: 0, -1: 1, 0: 2}[kronecker(ext.disc, k)] for k in n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), q=st.integers(3, 500))
+def test_cyclotomic_classes_match_residues(data, q):
+    ext = cyclotomic_field(q)
+    n = data.draw(st.lists(_int64_near(q), min_size=1, max_size=30))
+    got = ext.classes(np.array(n, dtype=np.int64)).tolist()
+    for k, c in zip(n, got):
+        if math.gcd(k, q) == 1:
+            assert ext.labels[c] == k % q
+        else:
+            assert c == len(ext.labels)
+
+
 def test_artin_class_examples():
     q5 = quadratic_field(5)
     assert artin_class(q5, 11) == ConjClass(SPLIT)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chebkit import elliptic
 from chebkit.arith import factorize, kronecker, squarefree_kernel
+from chebkit.chebotarev import quadratic_field
 from chebkit.elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                               frobenius_traces, growth_shape_report, read_curves,
                               trace_match_count, trace_of_frobenius, trace_table)
@@ -210,9 +211,20 @@ def test_resample_draws_alternate_the_twist(A, B):
     A_, B_ = A % ps, B % ps
     f0, chi0 = elliptic._draw(ps, A_, B_, 0)[:2]
     assert np.array_equal(f0, ((elliptic._DRAW % ps) ** 3 + A_ * elliptic._DRAW + B_) % ps)
-    for r in range(1, elliptic._BSGS_RESAMPLE_LIMIT):
+    for r in range(1, elliptic._ROUNDS):
         f, chi = elliptic._draw(ps, A_, B_, r)[:2]
         assert (f != 0).all() and np.array_equal(chi, chi0 * (-1) ** r)
+
+
+@pytest.mark.parametrize("D", sorted(set(elliptic._CM_FIELDS.values())))
+def test_cm_field_map_matches_euler_criterion(D):
+    # the CM lanes read split or inert from K's Frobenius map
+    ps = primes_upto(2 * 10**5)
+    ps = ps[ps >= 5]
+    K = quadratic_field(squarefree_kernel(D))
+    assert K.disc == D
+    euler = [{1: 0, p - 1: 1, 0: 2}[pow(D % p, (p - 1) // 2, p)] for p in ps.tolist()]
+    assert K.classes(ps).tolist() == euler     # split, inert, ramified
 
 
 @pytest.mark.parametrize("A,B", [(4, 0), (3, 8), (0, -3), (-7, 0), (-7, 5), (0, -9)])

@@ -77,3 +77,26 @@ def test_guard_catches_unread_private_names():
                      "def _helper():\n    return _LIMIT\nclass _Unused:\n    pass\n"),
                "b": "from .a import _helper\ndef f():\n    global _last\n    _last = _helper()\n"}
     assert unread_private_names(sources) == ["a._last", "a._Unused"]
+
+
+def map_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read an attribute named ``index`` other than
+    as a call, as ``ext.index[...]`` reads a field's Frobenius map."""
+    tree = ast.parse(source)
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "index"
+                  and isinstance(n.ctx, ast.Load) and id(n) not in called)
+
+
+def test_only_chebotarev_reads_the_frobenius_map():
+    # every other module reads a field's classes through AbelianExtension.classes
+    found = {path.name: map_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "chebotarev.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_catches_map_reads():
+    source = ("k = ext.index[r]\nj = labels.index('split')\nunits = f(field.index)\n"
+              "ext.index = None\nc = ext.classes(n)\n")
+    assert map_reads(source) == [1, 3]
