@@ -12,6 +12,7 @@ Subpackage map:
 - ``bqf``          binary quadratic forms: reduction, class numbers,
                    represented primes
 - ``chebotarev``   Frobenius-class counters for quadratic/cyclotomic fields
+- ``characters``   Dirichlet characters mod q as class functions, and their table
 - ``explicit``     contour evaluation of the smoothed prime sum
 - ``elliptic``     traces of Frobenius and the Lang-Trotter counters
 - ``cli``          command-line frontend over all of the above

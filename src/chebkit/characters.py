@@ -64,6 +64,7 @@ def _dlog_table(g: int, modulus: int, order: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)
 def character(q: int, index: int) -> tuple[AbelianExtension, np.ndarray]:
     """Row ``index`` of ``character_table(q)`` as a class function (ext, w):
     w[k] is the character's value on ext's label k, and it vanishes where
@@ -81,6 +82,7 @@ def character(q: int, index: int) -> tuple[AbelianExtension, np.ndarray]:
     # the components in the table's product order: the last one varies fastest
     for k, (modulus, d, table) in zip(np.unravel_index(index, orders), comps):
         w *= np.exp(2j * np.pi * k * table[units % modulus] / d)
+    w.flags.writeable = False   # the cache keeps the last (q, index) for every caller
     return ext, w
 
 

@@ -46,11 +46,10 @@ class AbelianExtension:
     disc: int                 # the cyclotomic conductor stands in for it
     index: np.ndarray         # int32, one entry per residue mod |disc|; other modules call classes
     labels: tuple             # class keys, in residue order
-    sizes: np.ndarray         # |C| of each class
 
     @property
     def group_order(self) -> int:
-        return int(self.sizes.sum())
+        return len(self.labels)
 
     @property
     def ramified(self) -> frozenset:
@@ -78,7 +77,7 @@ def quadratic_field(d: int) -> AbelianExtension:
     symbol *= np.array([kronecker(two_part, n) for n in range(8)], np.int8)[_mod(r, 8)]
     # symbol 1, -1, 0 -> split (0), inert (1), ramified (2)
     index = np.array([2, 0, 1], np.int32)[symbol]
-    return AbelianExtension("quadratic", disc, index, (SPLIT, INERT), np.ones(2, int))
+    return AbelianExtension("quadratic", disc, index, (SPLIT, INERT))
 
 
 @lru_cache(maxsize=1)
@@ -92,13 +91,12 @@ def cyclotomic_field(q: int) -> AbelianExtension:
         unit[::p] = False
     labels = tuple(np.flatnonzero(unit).tolist())
     index = np.where(unit, np.cumsum(unit) - 1, len(labels)).astype(np.int32)
-    sizes = np.ones(len(labels), int)
-    index.flags.writeable = sizes.flags.writeable = False   # the cache hands them to every caller
-    return AbelianExtension("cyclotomic", q, index, labels, sizes)
+    index.flags.writeable = False   # the cache hands it to every caller
+    return AbelianExtension("cyclotomic", q, index, labels)
 
 
 def trivial_extension() -> AbelianExtension:
-    return AbelianExtension("trivial", 1, np.zeros(1, np.int32), (FULL,), np.ones(1, int))
+    return AbelianExtension("trivial", 1, np.zeros(1, np.int32), (FULL,))
 
 
 @dataclass(frozen=True)
@@ -108,9 +106,6 @@ class ConjClass:
     extension."""
 
     key: object
-
-    def __repr__(self):
-        return f"ConjClass({self.key!r})"
 
 
 def conj_classes(ext: AbelianExtension) -> list[ConjClass]:
@@ -129,8 +124,9 @@ def _class_index(ext: AbelianExtension, cls: ConjClass) -> int:
 
 
 def class_share(ext: AbelianExtension, cls: ConjClass) -> float:
-    """|C|/|G|."""
-    return float(ext.sizes[_class_index(ext, cls)]) / ext.group_order
+    """|C|/|G|: every class of an abelian group has one element."""
+    _class_index(ext, cls)     # refuses a class the field lacks
+    return 1 / ext.group_order
 
 
 def artin_class(ext: AbelianExtension, p: int) -> ConjClass | None:
@@ -238,8 +234,7 @@ def counting_chain_check(ext: AbelianExtension, cls: ConjClass, x0: float,
     n_F * x0 term (n_F = 1 here).
     """
     rhs = _summed_by_parts(ext, cls, x0, x)[1] + x0
-    return BoundReport.compare(float(pi_class(ext, cls, x)), rhs,
-                               label="pi <= smoothed psi chain")
+    return BoundReport.compare(float(pi_class(ext, cls, x)), rhs)
 
 
 def weighted_prime_sum(ext: AbelianExtension, cls: ConjClass | np.ndarray,

@@ -193,8 +193,7 @@ def _cmd_pi_ap(args) -> list[dict]:
 def _cmd_bt_check(args) -> list[dict]:
     if args.q < 2:
         raise DomainError("bt-check needs --q >= 2")
-    if args.q > cheb._MAX_MODULUS:      # each row would make its own pass over the primes
-        raise CapacityError(f"bt-check --q {args.q} exceeds the limit {cheb._MAX_MODULUS}")
+    ap.residue_counts(args.q, args.x)   # the count every row reads; refuses q past 2^20 unsieved
     return [_bt_row(ap.APQuery(q=args.q, a=a, x=args.x), args.slack)
             for a in range(1, args.q) if math.gcd(a, args.q) == 1]
 

@@ -47,7 +47,7 @@ class CurveModel:
     label: str = ""
 
     def __post_init__(self):
-        if 4 * self.A ** 3 + 27 * self.B ** 2 == 0:
+        if self.disc_factor == 0:
             raise DomainError("singular curve: 4A^3 + 27B^2 = 0")
 
     @property

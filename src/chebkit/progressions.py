@@ -74,7 +74,7 @@ def residue_counts(q: int, x: float, primes: np.ndarray | None = None) -> np.nda
     return counts
 
 
-def _bt_compare(query: APQuery, coefficient, label: str, **report) -> BoundReport:
+def _bt_compare(query: APQuery, coefficient, **report) -> BoundReport:
     """pi(x; q, a) against coefficient(theta) * x/(phi(q) log x), where
     theta = log q/log x; shared by the two Brun-Titchmarsh checks."""
     if query.q < 2:
@@ -84,7 +84,7 @@ def _bt_compare(query: APQuery, coefficient, label: str, **report) -> BoundRepor
     theta = math.log(query.q) / math.log(query.x)
     lhs = pi_ap(query)
     rhs = coefficient(theta) * query.x / (euler_phi(query.q) * math.log(query.x))
-    return BoundReport.compare(float(lhs), rhs, label=label, **report)
+    return BoundReport.compare(float(lhs), rhs, **report)
 
 
 def montgomery_vaughan_check(query: APQuery) -> BoundReport:
@@ -92,8 +92,7 @@ def montgomery_vaughan_check(query: APQuery) -> BoundReport:
 
         pi(x; q, a) <= 2/(1-theta) * x/(phi(q) log x),   theta = log q/log x.
     """
-    return _bt_compare(query, lambda theta: 2.0 / (1.0 - theta),
-                       "montgomery-vaughan")
+    return _bt_compare(query, lambda theta: 2.0 / (1.0 - theta))
 
 
 def maynard_check(query: APQuery, slack: float = 0.1) -> BoundReport:
@@ -102,5 +101,4 @@ def maynard_check(query: APQuery, slack: float = 0.1) -> BoundReport:
     The o(1) term has no stated rate, so ``slack`` stands in for it and
     the report is marked heuristic.
     """
-    return _bt_compare(query, lambda theta: brun_titchmarsh_constant(theta) + slack,
-                       "piecewise-constant BT", heuristic=True)
+    return _bt_compare(query, lambda theta: brun_titchmarsh_constant(theta) + slack, heuristic=True)

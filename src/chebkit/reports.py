@@ -19,7 +19,6 @@ class BoundReport:
     lhs: float
     rhs: float
     passed: bool
-    label: str = ""
     heuristic: bool = False
 
     @property
@@ -27,10 +26,8 @@ class BoundReport:
         return self.rhs - self.lhs
 
     @staticmethod
-    def compare(lhs: float, rhs: float, label: str = "",
-                heuristic: bool = False) -> "BoundReport":
-        return BoundReport(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs), label=label,
-                           heuristic=heuristic)
+    def compare(lhs: float, rhs: float, heuristic: bool = False) -> "BoundReport":
+        return BoundReport(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs), heuristic=heuristic)
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def check_decay_bound(spec: WeightSpec, s: complex, alpha: float) -> BoundReport
     rhs = (math.exp(sigma * spec.eps) * spec.x ** sigma / (mod * spec.log_x)
            * (1.0 + spec.x ** (-sigma / 2.0))
            * (2.0 * spec.ell / (spec.eps * mod)) ** alpha)
-    return BoundReport.compare(lhs, rhs, label="right-half-plane decay")
+    return BoundReport.compare(lhs, rhs)
 
 
 def check_growth_bound(spec: WeightSpec, s: complex) -> BoundReport:
@@ -163,7 +163,7 @@ def check_growth_bound(spec: WeightSpec, s: complex) -> BoundReport:
         raise DomainError("growth bound requires Re{s} > 0")
     lhs = abs(laplace_transform(spec, -s * spec.log_x))
     rhs = math.exp(s.real * spec.eps) * spec.x ** s.real
-    return BoundReport.compare(lhs, rhs, label="growth")
+    return BoundReport.compare(lhs, rhs)
 
 
 def check_real_axis_bound(spec: WeightSpec, sigma: float) -> BoundReport:
@@ -173,7 +173,7 @@ def check_real_axis_bound(spec: WeightSpec, sigma: float) -> BoundReport:
     value = laplace_transform(spec, complex(-sigma * spec.log_x))
     lhs = value.real
     rhs = math.exp(sigma * spec.eps) * spec.x ** sigma / (sigma * spec.log_x)
-    return BoundReport.compare(lhs, rhs, label="real axis")
+    return BoundReport.compare(lhs, rhs)
 
 
 def check_left_line_bound(spec: WeightSpec, t: float) -> BoundReport:
@@ -186,4 +186,4 @@ def check_left_line_bound(spec: WeightSpec, t: float) -> BoundReport:
     rhs = (5.0 * spec.x ** -0.25 / spec.log_x
            * (2.0 * spec.ell / spec.eps) ** spec.ell
            * (0.25 + t * t) ** (-spec.ell / 2.0))
-    return BoundReport.compare(lhs, rhs, label="left line decay")
+    return BoundReport.compare(lhs, rhs)

@@ -101,6 +101,17 @@ def test_class_share():
     assert class_share(cyclotomic_field(5), ConjClass(2)) == 0.25
     assert class_share(trivial_extension(), ConjClass(FULL)) == 1.0
     assert len(conj_classes(cyclotomic_field(12))) == 4
+    # an abelian group's classes are singletons: each has share 1/|G|
+    fields = ([quadratic_field(d) for d in range(-200, 201) if d not in (0, 1) and _squarefree(d)]
+              + [cyclotomic_field(q) for q in range(3, 201)])
+    for ext in fields:
+        shares = [class_share(ext, cls) for cls in conj_classes(ext)]
+        assert shares == [1 / len(ext.labels)] * len(ext.labels), ext.disc
+        assert math.fsum(shares) == pytest.approx(1.0, rel=1e-14), ext.disc
+    for ext, key in ((cyclotomic_field(12), SPLIT), (cyclotomic_field(12), 3),
+                     (cyclotomic_field(7), 14), (quadratic_field(-1), FULL)):
+        with pytest.raises(DomainError):    # a class the field lacks
+            class_share(ext, ConjClass(key))
 
 
 def _squarefree(n):

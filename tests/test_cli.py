@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chebkit import bounds, bqf, chebotarev, elliptic, explicit, progressions
+from chebkit.characters import character
 from chebkit.cli import SUBCOMMANDS, build_parser, main, run
 from chebkit.sieve import li, prime_powers, primes_upto, segmented_primes
 from chebkit.weights import (WeightSpec, check_decay_bound, check_growth_bound,
@@ -85,6 +86,14 @@ def test_mellin_check_char_direct_side_ignores_n_max():
     assert (short["direct_re"], short["direct_im"]) == (default["direct_re"],
                                                         default["direct_im"])
     assert short["contour_re"] != default["contour_re"]
+
+
+def test_mellin_check_builds_its_character_once():
+    # the series and the direct side read one build of the character's row
+    character.cache_clear()
+    assert run(["mellin-check", "--q", "13", "--char-index", "5", "--x", "300"])[0] == 0
+    info = character.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_global_flags_accepted_after_subcommand():

@@ -96,6 +96,40 @@ def test_only_chebotarev_reads_the_frobenius_map():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def private_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read a ``_``-prefixed attribute through the
+    alias of a chebkit module, as ``cheb._MAX_MODULUS`` copies another
+    module's private limit.  A shared private helper imported by name, as
+    ``from .sieve import _blocks``, is not such a read."""
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None),
+                                                                             (0, "chebkit")):
+            aliases |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name.startswith("chebkit.")}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and isinstance(n.value, ast.Name) and n.value.id in aliases
+                  and n.attr.startswith("_") and not n.attr.startswith("__"))
+
+
+def test_modules_read_no_private_name_of_another():
+    # a limit or helper another module needs is imported by name, not copied
+    found = {path.name: private_reads(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_guard_catches_private_reads():
+    source = ("from . import chebotarev as cheb\nfrom . import sieve\n"
+              "from .sieve import _blocks\nimport numpy as np\nimport chebkit.bqf as bq\n"
+              "n = cheb._MAX_MODULUS\nb = _blocks(a)\nt = sieve._table[0]\n"
+              "np._private\ncheb.__name__\ncheb._x = 1\nobj._field\nbq._h(3)\n")
+    assert private_reads(source) == [6, 8, 13]
+
+
 def test_guard_catches_map_reads():
     source = ("k = ext.index[r]\nj = labels.index('split')\nunits = f(field.index)\n"
               "ext.index = None\nc = ext.classes(n)\n")
