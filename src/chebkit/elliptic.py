@@ -22,7 +22,7 @@ import numpy as np
 from .arith import squarefree_kernel
 from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
-from .sieve import CountSeries, primes_upto
+from .sieve import CountSeries, _sieved, primes_upto
 
 _CHARSUM_CUTOFF = 1_000
 _CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
@@ -152,9 +152,9 @@ def _dbl(P, a, p):
     X, Y, Z = P
     XX = X * X % p
     w = (a * (Z * Z % p) + 3 * XX) % p
-    s = 2 * (Y * Z % p) % p
+    s = 2 * Y * Z % p               # p < 2^31: twice a product of residues is below 2^63
     R = Y * s % p
-    B = 2 * (X * R % p) % p
+    B = 2 * X * R % p
     h = (w * w - 2 * B) % p
     return h * s % p, (w * (B - h) - 2 * (R * R % p)) % p, s * (s * s % p) % p
 
@@ -168,7 +168,7 @@ def _add(P, Q, Q2, p):
     vvv, R = v * vv % p, vv * X % p
     A = (u * u % p * Z - vvv - 2 * R) % p
     out = v * A % p, (u * (R - A) - vvv * Y) % p, vvv * Z % p
-    if ((v == 0) | (Z == 0)).any():
+    if not (v.all() and Z.all()):
         same, at_inf = (u == 0) & (v == 0) & (Z != 0), Z == 0
         for c, q, q2 in zip(out, (x, y, 1), Q2):
             np.copyto(c, q2, where=same)
@@ -180,8 +180,8 @@ def _mul(k, Q, Q2, a, p):
     """kQ for affine Q with Q2 = 2Q, by double-and-add."""
     R = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
     for bit in reversed(range(int(k.max(initial=0)).bit_length())):
-        R = _dbl(R, a, p)
-        R = tuple(np.where(k >> bit & 1 == 1, s, r) for s, r in zip(_add(R, Q, Q2, p), R))
+        R, take = _dbl(R, a, p), k >> bit & 1 == 1
+        R = tuple(np.where(take, s, r) for s, r in zip(_add(R, Q, Q2, p), R))
     return R
 
 
@@ -209,20 +209,19 @@ def _point_orders(p, a, P, lo, width, M):
     verified, for affine P on y^2 = x^3 + a x + b, by baby steps jP
     (0 < j < M) and giant steps of 2M - 1.  The search is complete when no
     0 < k <= 2M - 2 has kP = O (the baby points have distinct x, nonzero y)
-    and (2M - 1)P != O."""
+    and (2M - 1)P != O.  The stride S = (2M - 1)P is made affine as the baby table's last row."""
     lanes, one = np.arange(p.size), np.ones_like(p)
     P2 = _dbl((*P, one), a, p)
-    baby = np.empty((3, M - 1, p.size), np.int32)
+    baby = np.empty((3, M, p.size), np.int32)
     baby[:, 0] = Q = (*P, one)
     for j in range(1, M - 1):
         baby[:, j] = Q = _add(Q, P, P2, p)
-    S = _add(_dbl(Q, a, p), P, P2, p)
-    zinv = _powmod(S[2], p - 2, p)
-    S = S[0] * zinv % p, S[1] * zinv % p
-    S2 = _dbl((*S, one), a, p)
-    complete = (zinv != 0) & (baby[1:] != 0).all(axis=(0, 1))
+    baby[:, M - 1] = _add(_dbl(Q, a, p), P, P2, p)
+    complete = (baby[2, M - 1] != 0) & (baby[1:, :M - 1] != 0).all(axis=(0, 1))
     bx, by = _affine(baby, p)
-    keys = np.left_shift(bx, _J_BITS, dtype=np.int64)
+    S = bx[M - 1].astype(np.int64), by[M - 1].astype(np.int64)     # int64 for _dbl's products
+    S2 = _dbl((*S, one), a, p)
+    keys = np.left_shift(bx[:M - 1], _J_BITS, dtype=np.int64)
     keys |= lanes << _LANE_SHIFT
     keys |= np.arange(1, M)[:, None]
     keys = keys.ravel()
@@ -295,16 +294,17 @@ def _bsgs_round(p, A, B, r, M):
 def _sqrt_mod(a, p):
     """A square root of each quadratic residue a mod an odd prime p, by a
     lockstep Tonelli-Shanks with p - 1 = q 2^s; only the lanes with s > 1
-    search for a non-residue."""
+    search for a non-residue z, the least: the first prime n < sqrt(p) + 1
+    (Vinogradov) inert in Q(sqrt n), read from the field's map."""
     s, q = _two_adic(p)
     y = _powmod(a, (q - 1) // 2, p)
     x, t = y * a % p, y * y % p * a % p     # x^2 = a t, and t^(2^(s-1)) = 1
-    z, need, n = np.zeros_like(p), np.flatnonzero(s > 1), 2
-    while need.size:
-        pn = p[need]
-        found = _powmod(np.full_like(pn, n), (pn - 1) // 2, pn) == pn - 1
-        z[need[found]] = n
-        need, n = need[~found], n + 1 + (n > 2)     # the least non-residue is a prime
+    z, need = np.zeros_like(p), np.flatnonzero(s > 1)
+    for n in primes_upto(math.isqrt(int(p.max(initial=0))) + 1).tolist():
+        if not need.size:
+            break
+        found = quadratic_field(n).classes(p[need]) == 1
+        z[need[found]], need = n, need[~found]
     c = _powmod(z, q, p)
     for j in range(int(s.max(initial=1)) - 1, 0, -1):     # c has order 2^(j+1) on lanes s > j
         k = np.flatnonzero(s > j)
@@ -373,17 +373,20 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     on every lane still open, block by block, and a lane that no round of
     ``_ROUNDS`` settles takes the character sum.  'bsgs' and
     'charsum' never use the closed form.  A composite raises
-    ``DomainError``; primes >= 2^31 raise ``CapacityError``: the lanes
-    multiply residues in int64; so does a character sum at p > 2^28
-    (``_CHARSUM_LIMIT``)."""
+    ``DomainError``: a lane the sieve's table reaches is looked up in it,
+    one past its top tested by ``_is_prime``.  Primes >= 2^31 raise
+    ``CapacityError``: the lanes multiply residues in int64; so does a
+    character sum at p > 2^28 (``_CHARSUM_LIMIT``)."""
     ps = np.asarray(primes)
     if method not in ("auto", "bsgs", "charsum"):
         raise DomainError(f"unknown method {method!r}")
     if ps.size and ps.max() >= _LANE_LIMIT:
         raise CapacityError(f"primes must be below 2^31, got {ps.max()}")
-    ps = ps.astype(np.int64)
-    if (np.any(ps[1:] <= ps[:-1]) or not np.all(curve.has_good_reduction(ps))
-            or not _is_prime(ps).all()):
+    ps, (top, table) = ps.astype(np.int64), _sieved()
+    low = ps[:np.searchsorted(ps, top, "right")]       # the lanes the sieve's table covers
+    if (np.any(ps[1:] <= ps[:-1])
+            or np.any(np.searchsorted(table, low) == np.searchsorted(table, low, "right"))
+            or not _is_prime(ps[low.size:]).all() or not np.all(curve.has_good_reduction(ps))):
         raise DomainError("primes must be ascending primes of good reduction")
     cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}[method]
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)

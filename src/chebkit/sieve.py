@@ -132,6 +132,11 @@ def primes_upto(n: int | float) -> np.ndarray:
     return primes[: int(np.searchsorted(primes, n, side="right"))]
 
 
+def _sieved() -> tuple[int, np.ndarray]:
+    """(top, the primes <= top) of the table as it stands: a read that sieves nothing."""
+    return _table
+
+
 def _mod(a: np.ndarray, m: int) -> np.ndarray:
     """a % m by floor division, with one temporary as % makes: numpy divides an
     int64 array by a scalar as a multiply and shift, where % divides each entry."""

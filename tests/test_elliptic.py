@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebkit import elliptic
+from chebkit import elliptic, sieve
 from chebkit.arith import factorize, kronecker, squarefree_kernel
 from chebkit.chebotarev import quadratic_field
 from chebkit.elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                               frobenius_traces, growth_shape_report, read_curves,
                               trace_match_count, trace_of_frobenius, trace_table)
 from chebkit.errors import CapacityError, DomainError
-from chebkit.sieve import CountSeries, primes_upto
+from chebkit.sieve import CountSeries, primes_upto, segmented_primes
 
 TEST_CURVES = [CurveModel(1, 1), CurveModel(-1, 1), CurveModel(2, 3),
                CurveModel(5, 7), CurveModel(-7, 10)]
@@ -245,15 +245,147 @@ def test_cm_closed_form_on_random_twists(kind, coeff, primes):
     assert np.array_equal(frobenius_traces(E, ps), frobenius_traces(E, ps, "charsum"))
 
 
+# ------------------------------------------------ Tonelli-Shanks and the 2^63 headroom
+
+CM_DISCS = sorted(set(elliptic._CM_FIELDS.values()))
+# p - 1 divisible by 2^13, 2^16, 2^18, 2^25, 2^26 and 2^27
+TWO_ADIC_PRIMES = [40961, 65537, 786433, 167772161, 469762049, 2013265921]
+
+
+def least_non_residue(p):
+    """The least n with Legendre symbol (n/p) = -1, by trying n = 2, 3, ..."""
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+def tonelli_shanks(a, p, z):
+    """The root the lockstep Tonelli-Shanks takes with non-residue z, one
+    prime at a time in Python ints."""
+    s, q = 0, p - 1
+    while q % 2 == 0:
+        s, q = s + 1, q // 2
+    y = pow(a, (q - 1) // 2, p)
+    x, t, c = y * a % p, y * y * a % p, pow(z, q, p)
+    for j in range(s - 1, 0, -1):
+        if pow(t, 2 ** (j - 1), p) != 1:
+            x, t = x * c % p, t * c * c % p
+        c = c * c % p
+    return x
+
+
+def assert_roots_with_the_least_non_residue(a, p):
+    root = elliptic._sqrt_mod(np.array(a, dtype=np.int64), np.array(p, dtype=np.int64))
+    assert ((root * root - a) % p == 0).all()
+    # the root pins c = z^q on every lane with p = 1 mod 4: z is the least non-residue
+    assert root.tolist() == [tonelli_shanks(int(b), int(q), least_non_residue(int(q)))
+                             for b, q in zip(a, p)]
+
+
+@pytest.mark.parametrize("D", CM_DISCS)
+def test_sqrt_mod_roots_each_cm_discriminant_to_2e5(D):
+    ps = primes_upto(2 * 10**5)
+    ps = [p for p in ps[ps >= 5].tolist() if pow(D % p, (p - 1) // 2, p) == 1]
+    assert_roots_with_the_least_non_residue([D % p for p in ps], ps)
+
+
+def test_sqrt_mod_at_primes_of_large_two_adic_valuation():
+    rng = np.random.default_rng(5)
+    a, ps = [], []
+    for p in TWO_ADIC_PRIMES:
+        roots = rng.integers(1, p, size=20).tolist()
+        squares = [r * r % p for r in roots] + [D % p for D in CM_DISCS
+                                                if pow(D % p, (p - 1) // 2, p) == 1]
+        a, ps = a + squares, ps + [p] * len(squares)
+    assert_roots_with_the_least_non_residue(a, ps)
+    assert least_non_residue(2013265921) == 11    # p splits in Q(sqrt n) for n = 2, 3, 5, 7
+
+
+HEADROOM_PRIMES = (2**31 - 1, 2147483629)
+
+
+def affine_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b in Python ints; None is O."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def affine_mul(k, P, a, p):
+    R = None
+    for bit in bin(k)[2:]:
+        R = affine_add(R, R, a, p)
+        R = affine_add(R, P, a, p) if bit == "1" else R
+    return R
+
+
+def to_affine(P, p):
+    """Affine (x, y) of each lane of a projective lockstep point; None at O."""
+    return [None if Z == 0 else (X * pow(Z, -1, q) % q, Y * pow(Z, -1, q) % q)
+            for X, Y, Z, q in zip(*(c.tolist() for c in P), p.tolist())]
+
+
+def near_top_lanes(seed, lanes=24):
+    """Lanes at both headroom primes whose residues all lie within 2^10 of
+    p - 1: projective P = (X, Y, Z), affine Q = (x, y) and a."""
+    rng = np.random.default_rng(seed)
+    p = np.array(HEADROOM_PRIMES * (lanes // 2), dtype=np.int64)
+    X, Y, Z, x, y, a = (p - rng.integers(1, 2**10, size=p.size) for _ in range(6))
+    return p, (X, Y, Z), (x, y), a
+
+
+def test_point_steps_keep_residues_near_2_31_exact():
+    p, P, Q, a = near_top_lanes(7)
+    PA = to_affine(P, p)
+    # _dbl at P, on the curve through P with coefficient a
+    assert to_affine(elliptic._dbl(P, a, p), p) == [
+        affine_add(R, R, int(c), int(q)) for R, c, q in zip(PA, a, p)]
+    # _add's chord through P and Q needs no b: any two points lie on one curve
+    Q2 = elliptic._dbl((*Q, np.ones_like(p)), a, p)
+    assert to_affine(elliptic._add(P, Q, Q2, p), p) == [
+        affine_add(R, (int(u), int(v)), 0, int(q)) for R, u, v, q in zip(PA, *Q, p)]
+    # _mul by k near p: 31 doublings and adds, with every residue drawn near p - 1
+    k = p - np.arange(3, 3 + p.size)
+    assert to_affine(elliptic._mul(k, Q, Q2, a, p), p) == [
+        affine_mul(int(n), (int(u), int(v)), int(c), int(q)) for n, u, v, c, q in zip(k, *Q, a, p)]
+
+
+def test_giant_stride_from_the_baby_table_equals_mul(monkeypatch):
+    # S = (2M - 1)P is made affine as the baby table's last row
+    p, _, Q, a = near_top_lanes(11)
+    p = np.concatenate((p, primes_upto(3_000)[-8:]))    # and eight lanes with small p
+    Q, a = tuple(np.concatenate((c, np.arange(5, 13))) for c in Q), np.append(a, np.full(8, 3))
+    Q2, M = elliptic._dbl((*Q, np.ones_like(p)), a, p), elliptic._baby_steps(p.max())
+    strides, mul = [], elliptic._mul
+
+    def spy(k, Q, Q2, a, p):
+        strides.append(Q)
+        return mul(k, Q, Q2, a, p)
+    monkeypatch.setattr(elliptic, "_mul", spy)
+    half = np.sqrt(4 * p).astype(np.int64)
+    elliptic._point_orders(p, a, Q, p + 1 - half, 2 * half + 1, M)
+    S = strides[0]                 # the first multiply starts the giant steps from S
+    expect = to_affine(mul(np.full(p.size, 2 * M - 1), Q, Q2, a, p), p)
+    assert [(int(x), int(y)) for x, y in zip(*S)] == expect
+    assert S[0].dtype == np.int64
+
+
+# Carmichael numbers, strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and
+# products of the largest primes whose squares stay below 2^31
+COMPOSITES = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 3277, 1373653, 25326001] + [
+    int(a * b) for a in primes_upto(46_340)[-3:] for b in primes_upto(46_340)[-3:]]
+
+
 def test_is_prime_matches_the_sieve():
     n = np.arange(-5, 100_000, dtype=np.int64)
     assert np.array_equal(np.flatnonzero(elliptic._is_prime(n)) - 5, primes_upto(100_000))
-    # Carmichael numbers, strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5;
-    # products of the largest primes whose squares stay below 2^31; and 2^31 - 1
-    big = primes_upto(46_340)[-3:]
-    composites = [561, 1105, 1729, 41041, 825265, 321197185, 2047, 3277, 1373653,
-                  25326001] + [int(a * b) for a in big for b in big]
-    assert not elliptic._is_prime(np.array(composites)).any()
+    assert not elliptic._is_prime(np.array(COMPOSITES)).any()
     assert elliptic._is_prime(np.array([2**31 - 1])).all()
 
 
@@ -276,6 +408,68 @@ def test_frobenius_traces_refuses_composites():
             for method in ("auto", "bsgs", "charsum"):
                 with pytest.raises(DomainError, match="prime"):
                     frobenius_traces(E, bad, method)
+
+
+def trial_division_prime(n):
+    small = primes_upto(46_341)
+    return n > 1 and not np.any(n % small[small * small <= n] == 0)
+
+
+def check_only(m):
+    """Patch the tracing out of frobenius_traces: no round, and a stub in
+    place of the character sum, so a call checks its primes and nothing more."""
+    m.setattr(elliptic, "_ROUNDS", 0)
+    m.setattr(elliptic, "trace_of_frobenius", lambda curve, p, method: FrobeniusRecord(p, 0, 0))
+
+
+def accepted(E, ps):
+    try:
+        frobenius_traces(E, ps)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-5, 2**22), st.integers(-5, 2**31 - 1),
+                          st.sampled_from(primes_upto(2**22)[-50:].tolist() + [2**31 - 1])),
+                min_size=1, max_size=6, unique=True))
+def test_frobenius_traces_accepts_exactly_the_primes_on_both_routes(values):
+    # lanes up to 2^22 are looked up in a sieve table that reaches them, then
+    # all lanes past 1 meet Miller-Rabin under a table cut to the primes <= 1
+    E, ps = CurveModel(1, 1), np.array(sorted(values), dtype=np.int64)      # disc factor 31
+    expect = all(v > 3 and v != 31 and trial_division_prime(v) for v in values)
+    primes_upto(2**22)
+    with pytest.MonkeyPatch.context() as m:
+        check_only(m)
+        assert accepted(E, ps) == expect
+        m.setattr(sieve, "_table", (1, np.empty(0, dtype=np.int64)))
+        assert accepted(E, ps) == expect
+        assert sieve._table[0] == 1           # the check never grows the table
+
+
+def test_frobenius_traces_refuses_pseudoprimes_on_both_routes(monkeypatch):
+    # the true primes within 2^12 of each composite: a lane there reads only
+    # these entries of a table that reaches past all of them
+    windows = [segmented_primes(c - 2**12, c + 2**12) for c in COMPOSITES]
+    near = np.unique(np.concatenate(windows))
+    E = CurveModel(1, 1)
+    check_only(monkeypatch)
+    for table in ((int(near[-1]), near), (1, np.empty(0, dtype=np.int64))):
+        monkeypatch.setattr(sieve, "_table", table)
+        for c, window in zip(COMPOSITES, windows):
+            with pytest.raises(DomainError, match="prime"):
+                frobenius_traces(E, [c])
+            assert accepted(E, [int(window[np.searchsorted(window, c)])])   # the next prime
+
+
+def test_trace_table_lanes_skip_miller_rabin(monkeypatch):
+    # its lanes come from primes_upto(x), so the table reaches every one
+    monkeypatch.setattr(elliptic, "_TRACE_CACHE", {})
+    lanes, is_prime = [], elliptic._is_prime
+    monkeypatch.setattr(elliptic, "_is_prime", lambda n: lanes.extend(n.tolist()) or is_prime(n))
+    ps, _ = trace_table(CurveModel(1, 1), 50_000)
+    assert ps.size > 5_000 and lanes == []
 
 
 def test_trace_table_refuses_x_past_the_lanes_before_it_sieves(monkeypatch):
