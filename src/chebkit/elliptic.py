@@ -7,9 +7,9 @@ the others, from one baby-step giant-step order search in the Hasse
 interval that runs over all primes at once, one numpy lane per prime.
 Under the 'auto' method a curve with complex multiplication is traced in
 closed form first: a_p = 0 at inert primes, and at split primes a
-Cornacchia candidate that one point check singles out.  Ambiguous searches
-resample points and finally fall back to the character sum, so every
-reported trace is exact.
+Cornacchia candidate that one point check singles out, for j = 0 and 1728
+the one that a residue symbol gives.  Ambiguous searches resample points
+and finally fall back to the character sum, so every reported trace is exact.
 """
 
 from __future__ import annotations
@@ -70,8 +70,17 @@ class CurveModel:
 
     def has_good_reduction(self, p):
         """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
-        for an int64 array of primes."""
-        return (p > 3) & (self.disc_factor % np.asarray(p, dtype=object) != 0)
+        for an array of primes.  p <= 3, 0 included, is never good."""
+        p = np.asarray(p)
+        good = p > 3
+        return good & (_reduce(self.disc_factor, np.where(good, p, 1)) != 0)
+
+
+def _reduce(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod p for an array of moduli p > 0: int64 where n and p fit, else object."""
+    if p.dtype == np.int64 and -2 ** 63 <= n < 2 ** 63:
+        return np.int64(n) % p
+    return n % p.astype(object)
 
 
 @dataclass(frozen=True)
@@ -177,11 +186,15 @@ def _add(P, Q, Q2, p):
 
 
 def _mul(k, Q, Q2, a, p):
-    """kQ for affine Q with Q2 = 2Q, by double-and-add."""
-    R = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
-    for bit in reversed(range(int(k.max(initial=0)).bit_length())):
+    """kQ for affine Q with Q2 = 2Q, by double-and-add from the top bit of
+    max(k), on which a lane starts at Q if its k has that bit, else at O."""
+    top = max(int(k.max(initial=0)).bit_length() - 1, 0)
+    take = k >> top & 1 == 1
+    R = np.where(take, Q[0], 0), np.where(take, Q[1], 1), take.astype(p.dtype)
+    for bit in reversed(range(top)):
         R, take = _dbl(R, a, p), k >> bit & 1 == 1
-        R = tuple(np.where(take, s, r) for s, r in zip(_add(R, Q, Q2, p), R))
+        for r, s in zip(R, _add(R, Q, Q2, p)):
+            np.copyto(r, s, where=take)
     return R
 
 
@@ -330,22 +343,52 @@ def _cornacchia(p, D):
     return b, np.sqrt((4 * p - b * b) // -D).astype(np.int64)
 
 
-def _cm_round(p, A, B, r, K):
+def _cm_symbol(p, A, B, t, v, D):
+    """The signed a_p at split p on y^2 = x^3 + A x (D = -4) or y^2 = x^3 + B
+    (D = -3) by the quartic or sextic residue symbol (Ireland and Rosen, A
+    Classical Introduction to Modern Number Theory, 2nd ed., ch. 18 §4 Thm 5
+    and §3 Thm 4).  From 4p = t^2 + |D| v^2, pi = X + Y u has norm p, with
+    (u, X) = (i, t/2) or (omega, (t + v)/2) and Y = v.  The unit z = -i or
+    -omega maps (X, Y) to (Y, -X) or (Y, Y - X); pi z^h is primary (X + Y = 1
+    mod 4 with Y even; X = 2, Y = 0 mod 3) for one h < 4 or 6.  The symbol
+    s = (-A)^((p-1)/4) or (4B)^((p-1)/6) mod p is conj(z)^k mod pi, where
+    conj(z) = -X/Y or (Y - X)/Y mod p; with X + Y u = pi z^(h+k), a_p = 2X
+    or Y - 2X."""
+    n, (X, Y) = (4, (t // 2, v)) if D == -4 else (6, ((t + v) // 2, v))
+    s = _powmod((-A if D == -4 else 4 * B) % p, (p - 1) // n, p)
+    num, den = (-X if D == -4 else Y - X) % p, Y % p
+    lhs, rhs, hits, assoc = s, np.ones_like(p), [], [(X, Y)]
+    for _ in range(n):
+        hits.append(lhs == rhs)                 # s = (num/den)^k: s den^k = num^k
+        lhs, rhs = lhs * den % p, rhs * num % p
+        X, Y = (Y, -X) if D == -4 else (Y, Y - X)
+        assoc.append((X, Y))
+    X, Y = np.array(assoc[:n]).transpose(1, 0, 2)       # (n, lanes): pi z^h for h < n
+    primary = (Y % 2 == 0) & ((X + Y) % 4 == 1) if D == -4 else (X % 3 == 2) & (Y % 3 == 0)
+    h = (np.argmax(primary, axis=0) + np.argmax(hits, axis=0)) % n
+    X, Y = X[h, np.arange(p.size)], Y[h, np.arange(p.size)]
+    return 2 * X if D == -4 else Y - 2 * X
+
+
+def _cm_round(p, A, B, r, K, symbol):
     """(a_p, solved) for one block of lanes on draw r, on a curve with CM by
     the field K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At
     split p, a_p is the trace of u pi for a unit u of O_K, where
     4p = t^2 + |D| v^2: one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2
-    for D = -3.  A lane takes the one candidate c with (p + 1 - chi(f) c) Q = O
-    for the point Q of ``_draw``, comparing (p + 1) Q with |c| Q; with none or
-    several, or (p + 1) Q = O, it stays open for the next draw.  A BSGS round
-    on that point would fail too, so ramified lanes stay open as well."""
+    for D = -3; with ``symbol`` (j = 0 or 1728), the signed c of ``_cm_symbol``.
+    A lane takes the one candidate c with (p + 1 - chi(f) c) Q = O for the
+    point Q of ``_draw``, comparing (p + 1) Q with |c| Q, a signed c also
+    being the a_p so found; with none or several, or (p + 1) Q = O, it stays
+    open for the next draw.  A BSGS round on that point would fail too, so
+    ramified lanes stay open as well."""
     k, D = K.classes(p), K.disc             # K's classes: split (0), inert (1), ramified (2)
     ap, solved = np.zeros_like(p), k == 1
     live = np.flatnonzero(k == 0)
     t, v = _cornacchia(p[live], D)
     live, t, v = (c[t * t - D * v * v == 4 * p[live]] for c in (live, t, v))
-    m = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
-    k, q = len(m), p[live]
+    cand = (_cm_symbol(p[live], A[live], B[live], t, v, D)[None] if symbol else
+            np.array({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t])))
+    m, (k, q) = np.abs(cand), (len(cand), p[live])
     f, chi, a, Q = _draw(q, A[live], B[live], r)
     Q2 = _dbl((*Q, np.ones_like(q)), a, q)
     R = _mul(q + 1, Q, Q2, a, q)
@@ -357,6 +400,8 @@ def _cm_round(p, A, B, r, K):
     plus, minus = same_x & (yr == yc), same_x & ((yr + yc) % q == 0)   # R = C, R = -C
     one &= (plus.astype(np.int64) + minus).reshape(k, -1).sum(axis=0) == 1
     ap[live] = chi * (m * plus - m * minus).reshape(k, -1).sum(axis=0)
+    if symbol:
+        one &= ap[live] == cand[0]
     solved[live[one]] = True
     return ap, solved
 
@@ -369,10 +414,10 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
     with complex multiplication, settles the others in closed form: a_p = 0
     at inert primes, and at split ones the Cornacchia candidate that a point
-    singles out.  Either kind of lane runs in rounds: round r draws point r
-    on every lane still open, block by block, and a lane that no round of
-    ``_ROUNDS`` settles takes the character sum.  'bsgs' and
-    'charsum' never use the closed form.  A composite raises
+    singles out, for j = 0 and 1728 the one from ``_cm_symbol``.  Either kind
+    of lane runs in rounds: round r draws point r on every lane still open,
+    block by block, and a lane that no round of ``_ROUNDS`` settles takes the
+    character sum.  'bsgs' and 'charsum' never use the closed form.  A composite raises
     ``DomainError``: a lane the sieve's table reaches is looked up in it,
     one past its top tested by ``_is_prime``.  Primes >= 2^31 raise
     ``CapacityError``: the lanes multiply residues in int64; so does a
@@ -390,10 +435,11 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
         raise DomainError("primes must be ascending primes of good reduction")
     cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}[method]
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
-    A, B = ((n % ps.astype(object)).astype(np.int64) for n in (curve.A, curve.B))  # A, B of any size
+    A, B = (_reduce(n, ps).astype(np.int64) for n in (curve.A, curve.B))
     todo = np.arange(np.searchsorted(ps, cutoff), ps.size)
     D = curve._cm_disc if method == "auto" else None
     K = quadratic_field(squarefree_kernel(D)) if D else None
+    symbol = 0 in (curve.A, curve.B)        # j = 0 or 1728: one candidate, from the symbol
     for r in range(_ROUNDS):   # one round on every open lane, then resample
         i = 0
         while i < todo.size:        # blocks of _BLOCK_ENTRIES CM lanes, or about as many baby steps
@@ -401,7 +447,7 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
                                                    todo.size) - 1]])
             block = todo[i:i + _BLOCK_ENTRIES // M]
             args = ps[block], A[block], B[block], r
-            out[block], solved[block] = _cm_round(*args, K) if K else _bsgs_round(*args, M)
+            out[block], solved[block] = _cm_round(*args, K, symbol) if K else _bsgs_round(*args, M)
             i += block.size
         todo = todo[~solved[todo]]
     # below the cutoff, or left open: the one route from the CLI to trace_of_frobenius

@@ -173,9 +173,12 @@ def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
 
 
 def test_cm_lanes_draw_round_major(monkeypatch):
-    # y^2 = x^3 + 1 to 5e4 in blocks of 1024 lanes: five blocks, the first of
-    # which draws three times; every block takes draw r before any takes r + 1
-    E = cm_curve(0)
+    # the -7 twist of the j = 54000 curve to 5e4 in blocks of 1024 lanes:
+    # five blocks, one of which draws three times; every block takes draw r
+    # before any takes r + 1.  (y^2 = x^3 + 1, whose one candidate comes from
+    # the sextic symbol, settles every lane by draw 1.)
+    j = cm_curve(54000)
+    E = CurveModel(j.A * 7 ** 2, j.B * (-7) ** 3)
     ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
     rounds, draw = [], elliptic._draw
     monkeypatch.setattr(elliptic, "_BLOCK_ENTRIES", 1024)
@@ -243,6 +246,41 @@ def test_cm_closed_form_on_random_twists(kind, coeff, primes):
     E = CurveModel(0, coeff or 1) if kind == "j0" else CurveModel(coeff or 1, 0)
     ps = np.array(sorted(p for p in primes if E.has_good_reduction(p)), dtype=np.int64)
     assert np.array_equal(frobenius_traces(E, ps), frobenius_traces(E, ps, "charsum"))
+
+
+# twists of y^2 = x^3 + A x and y^2 = x^3 + B: both signs, fourth and sixth
+# powers (the symbol is 1), and coefficients past 2^63
+SYMBOL_TWISTS = [1, -1, 2, -2, 3, -5, 7, -11, 16, 64, -(2**64 + 1), 2**63 + 5]
+
+
+@pytest.mark.parametrize("D", [-4, -3])
+def test_cm_symbol_matches_charsum_at_every_split_prime_below_2e4(D):
+    ps = np.array([p for p in SMALL_PRIMES if p < 20_000 and kronecker(D, p) == 1])
+    t, v = elliptic._cornacchia(ps, D)
+    assert np.array_equal(t * t - D * v * v, 4 * ps)
+    for c in SYMBOL_TWISTS:
+        E = CurveModel(c, 0) if D == -4 else CurveModel(0, c)
+        good = E.has_good_reduction(ps)
+        q = ps[good]
+        A, B = (np.array([n % p for p in q.tolist()]) for n in (E.A, E.B))
+        symbol = elliptic._cm_symbol(q, A, B, t[good], v[good], D)
+        assert symbol.tolist() == [elliptic._trace_charsum(E, p) for p in q.tolist()], c
+
+
+@pytest.mark.parametrize("E", [CurveModel(-1, 0), CurveModel(0, 1)], ids=["j1728", "j0"])
+def test_cm_lanes_refuse_a_symbol_of_the_wrong_sign(monkeypatch, E):
+    # the point check matches |c| with either sign; a lane then also needs
+    # the a_p it finds to be the symbol's c, so a wrong sign falls back to
+    # the character sum and every trace stays exact
+    ps = np.array([p for p in SMALL_PRIMES if p < 5_000 and E.has_good_reduction(p)])
+    expect = frobenius_traces(E, ps, "charsum")
+    fallbacks, symbol, charsum = [], elliptic._cm_symbol, elliptic._trace_charsum
+    monkeypatch.setattr(elliptic, "_cm_symbol", lambda *args: -symbol(*args))
+    monkeypatch.setattr(elliptic, "_trace_charsum",
+                        lambda curve, p: fallbacks.append(p) or charsum(curve, p))
+    assert np.array_equal(frobenius_traces(E, ps), expect)
+    split = (ps >= elliptic._CHARSUM_CUTOFF) & (expect != 0)
+    assert [p for p in fallbacks if p >= elliptic._CHARSUM_CUTOFF] == ps[split].tolist()
 
 
 # ------------------------------------------------ Tonelli-Shanks and the 2^63 headroom
@@ -350,8 +388,10 @@ def test_point_steps_keep_residues_near_2_31_exact():
     Q2 = elliptic._dbl((*Q, np.ones_like(p)), a, p)
     assert to_affine(elliptic._add(P, Q, Q2, p), p) == [
         affine_add(R, (int(u), int(v)), 0, int(q)) for R, u, v, q in zip(PA, *Q, p)]
-    # _mul by k near p: 31 doublings and adds, with every residue drawn near p - 1
+    # _mul by k near p: 31 doublings and adds, with every residue drawn near p - 1;
+    # every third lane has a k of another bit length, so it starts at O
     k = p - np.arange(3, 3 + p.size)
+    k[::3] = [0, 1, 2, 3, 6, 2**16 + 1, 2**30 - 1, 2**30]
     assert to_affine(elliptic._mul(k, Q, Q2, a, p), p) == [
         affine_mul(int(n), (int(u), int(v)), int(c), int(q)) for n, u, v, c, q in zip(k, *Q, a, p)]
 
@@ -503,6 +543,21 @@ def test_frobenius_traces_validates_its_primes():
     for method in ("auto", "bsgs", "charsum"):
         assert frobenius_traces(E, ps, method).tolist() == [
             trace_of_frobenius(E, int(p), "charsum").a_p for p in ps]
+
+
+def test_has_good_reduction_refuses_p_up_to_3_and_reduces_past_int64():
+    E = CurveModel(-7, 10)      # disc factor 4 (-7)^3 + 27 10^2 = 1328 = 2^4 83
+    for p in (0, 1, 2, 3, -5):
+        assert not E.has_good_reduction(p)
+    assert E.has_good_reduction(np.array([0, 1, 2, 3, 5, 83, 89, -5])).tolist() == [
+        False, False, False, False, True, False, True, False]
+    ps = primes_upto(10_000)
+    for A, B in [(2**21, 2**21), (2**40, 1), (3 * 2**61, 0), (0, -(2**63)), (2**63, 7), (1, -(2**70))]:
+        E = CurveModel(A, B)
+        assert E.has_good_reduction(ps).tolist() == [
+            p > 3 and E.disc_factor % p != 0 for p in ps.tolist()], (A, B)
+        assert [E.has_good_reduction(p) for p in (0, 5, 2**64 + 13)] == [
+            False, E.disc_factor % 5 != 0, E.disc_factor % (2**64 + 13) != 0]
 
 
 def test_trace_of_frobenius_refuses_a_composite_p():
