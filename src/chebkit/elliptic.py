@@ -72,8 +72,7 @@ class CurveModel:
         """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
         for an array of primes.  p <= 3, 0 included, is never good."""
         p = np.asarray(p)
-        good = p > 3
-        return good & (_reduce(self.disc_factor, np.where(good, p, 1)) != 0)
+        return (p > 3) & (_reduce(self.disc_factor, np.where(p > 3, p, 1)) != 0)
 
 
 def _reduce(n: int, p: np.ndarray) -> np.ndarray:
@@ -189,8 +188,7 @@ def _mul(k, Q, Q2, a, p):
     """kQ for affine Q with Q2 = 2Q, by double-and-add from the top bit of
     max(k), on which a lane starts at Q if its k has that bit, else at O."""
     top = max(int(k.max(initial=0)).bit_length() - 1, 0)
-    take = k >> top & 1 == 1
-    R = np.where(take, Q[0], 0), np.where(take, Q[1], 1), take.astype(p.dtype)
+    R = tuple(np.where(k >> top & 1 == 1, q, o) for q, o in zip((*Q, 1), (0, 1, 0)))
     for bit in reversed(range(top)):
         R, take = _dbl(R, a, p), k >> bit & 1 == 1
         for r, s in zip(R, _add(R, Q, Q2, p)):
@@ -356,18 +354,17 @@ def _cm_symbol(p, A, B, t, v, D):
     or Y - 2X."""
     n, (X, Y) = (4, (t // 2, v)) if D == -4 else (6, ((t + v) // 2, v))
     s = _powmod((-A if D == -4 else 4 * B) % p, (p - 1) // n, p)
-    num, den = (-X if D == -4 else Y - X) % p, Y % p
-    lhs, rhs, hits, assoc = s, np.ones_like(p), [], [(X, Y)]
-    for _ in range(n):
-        hits.append(lhs == rhs)                 # s = (num/den)^k: s den^k = num^k
-        lhs, rhs = lhs * den % p, rhs * num % p
+    num, den, rhs = (-X if D == -4 else Y - X) % p, Y % p, np.ones_like(p)
+    hits, primary, trace = [], [], []
+    for _ in range(n):          # X + Y u runs over pi z^h for h < n
+        hits.append(s == rhs)                   # s = (num/den)^k: s den^k = num^k
+        s, rhs = s * den % p, rhs * num % p
+        primary.append((Y % 2 == 0) & ((X + Y) % 4 == 1) if D == -4 else
+                       (X % 3 == 2) & (Y % 3 == 0))
+        trace.append(2 * X if D == -4 else Y - 2 * X)
         X, Y = (Y, -X) if D == -4 else (Y, Y - X)
-        assoc.append((X, Y))
-    X, Y = np.array(assoc[:n]).transpose(1, 0, 2)       # (n, lanes): pi z^h for h < n
-    primary = (Y % 2 == 0) & ((X + Y) % 4 == 1) if D == -4 else (X % 3 == 2) & (Y % 3 == 0)
     h = (np.argmax(primary, axis=0) + np.argmax(hits, axis=0)) % n
-    X, Y = X[h, np.arange(p.size)], Y[h, np.arange(p.size)]
-    return 2 * X if D == -4 else Y - 2 * X
+    return np.array(trace)[h, np.arange(p.size)]
 
 
 def _cm_round(p, A, B, r, K, symbol):

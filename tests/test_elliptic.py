@@ -248,8 +248,8 @@ def test_cm_closed_form_on_random_twists(kind, coeff, primes):
     assert np.array_equal(frobenius_traces(E, ps), frobenius_traces(E, ps, "charsum"))
 
 
-# twists of y^2 = x^3 + A x and y^2 = x^3 + B: both signs, fourth and sixth
-# powers (the symbol is 1), and coefficients past 2^63
+# twists of y^2 = x^3 + A x and y^2 = x^3 + B: both signs, powers of 2, and
+# coefficients past 2^63
 SYMBOL_TWISTS = [1, -1, 2, -2, 3, -5, 7, -11, 16, 64, -(2**64 + 1), 2**63 + 5]
 
 
@@ -389,7 +389,7 @@ def test_point_steps_keep_residues_near_2_31_exact():
     assert to_affine(elliptic._add(P, Q, Q2, p), p) == [
         affine_add(R, (int(u), int(v)), 0, int(q)) for R, u, v, q in zip(PA, *Q, p)]
     # _mul by k near p: 31 doublings and adds, with every residue drawn near p - 1;
-    # every third lane has a k of another bit length, so it starts at O
+    # every third lane has a small k, 0 and 1 included: those without bit 30 start at O
     k = p - np.arange(3, 3 + p.size)
     k[::3] = [0, 1, 2, 3, 6, 2**16 + 1, 2**30 - 1, 2**30]
     assert to_affine(elliptic._mul(k, Q, Q2, a, p), p) == [
