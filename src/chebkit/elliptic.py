@@ -7,9 +7,10 @@ the others, from one baby-step giant-step order search in the Hasse
 interval that runs over all primes at once, one numpy lane per prime.
 Under the 'auto' method a curve with complex multiplication is traced in
 closed form first: a_p = 0 at inert primes, and at split primes a
-Cornacchia candidate that one point check singles out, for j = 0 and 1728
-the one that a residue symbol gives.  Ambiguous searches resample points
-and finally fall back to the character sum, so every reported trace is exact.
+Cornacchia candidate that one point check singles out, or for j = 0 and
+1728 the value of a residue symbol, with no point drawn.  Ambiguous
+searches resample points and finally fall back to the character sum, so
+every reported trace is exact.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class CurveModel:
     def has_good_reduction(self, p):
         """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
         for an array of primes.  p <= 3, 0 included, is never good."""
-        p = np.asarray(p)
+        if np.ndim(p) == 0:
+            return p > 3 and self.disc_factor % int(p) != 0
         return (p > 3) & (_reduce(self.disc_factor, np.where(p > 3, p, 1)) != 0)
 
 
@@ -185,11 +187,9 @@ def _add(P, Q, Q2, p):
 
 
 def _mul(k, Q, Q2, a, p):
-    """kQ for affine Q with Q2 = 2Q, by double-and-add from the top bit of
-    max(k), on which a lane starts at Q if its k has that bit, else at O."""
-    top = max(int(k.max(initial=0)).bit_length() - 1, 0)
-    R = tuple(np.where(k >> top & 1 == 1, q, o) for q, o in zip((*Q, 1), (0, 1, 0)))
-    for bit in reversed(range(top)):
+    """kQ for affine Q with Q2 = 2Q, by double-and-add."""
+    R = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
+    for bit in reversed(range(int(k.max(initial=0)).bit_length())):
         R, take = _dbl(R, a, p), k >> bit & 1 == 1
         for r, s in zip(R, _add(R, Q, Q2, p)):
             np.copyto(r, s, where=take)
@@ -372,20 +372,23 @@ def _cm_round(p, A, B, r, K, symbol):
     the field K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At
     split p, a_p is the trace of u pi for a unit u of O_K, where
     4p = t^2 + |D| v^2: one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2
-    for D = -3; with ``symbol`` (j = 0 or 1728), the signed c of ``_cm_symbol``.
-    A lane takes the one candidate c with (p + 1 - chi(f) c) Q = O for the
-    point Q of ``_draw``, comparing (p + 1) Q with |c| Q, a signed c also
-    being the a_p so found; with none or several, or (p + 1) Q = O, it stays
-    open for the next draw.  A BSGS round on that point would fail too, so
-    ramified lanes stay open as well."""
+    for D = -3.  With ``symbol`` (j = 0 or 1728) the lane takes a_p from
+    ``_cm_symbol`` and draws no point: the value rests on that theorem, as
+    the candidate list rests on Deuring's.  Otherwise a lane takes the one
+    candidate c with (p + 1 - chi(f) c) Q = O for the point Q of ``_draw``,
+    comparing (p + 1) Q with |c| Q; with none or several, or (p + 1) Q = O,
+    it stays open for the next draw.  A BSGS round on that point would fail
+    too, so ramified lanes stay open as well."""
     k, D = K.classes(p), K.disc             # K's classes: split (0), inert (1), ramified (2)
     ap, solved = np.zeros_like(p), k == 1
     live = np.flatnonzero(k == 0)
     t, v = _cornacchia(p[live], D)
     live, t, v = (c[t * t - D * v * v == 4 * p[live]] for c in (live, t, v))
-    cand = (_cm_symbol(p[live], A[live], B[live], t, v, D)[None] if symbol else
-            np.array({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t])))
-    m, (k, q) = np.abs(cand), (len(cand), p[live])
+    if symbol:
+        ap[live], solved[live] = _cm_symbol(p[live], A[live], B[live], t, v, D), True
+        return ap, solved
+    m = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
+    k, q = len(m), p[live]
     f, chi, a, Q = _draw(q, A[live], B[live], r)
     Q2 = _dbl((*Q, np.ones_like(q)), a, q)
     R = _mul(q + 1, Q, Q2, a, q)
@@ -397,8 +400,6 @@ def _cm_round(p, A, B, r, K, symbol):
     plus, minus = same_x & (yr == yc), same_x & ((yr + yc) % q == 0)   # R = C, R = -C
     one &= (plus.astype(np.int64) + minus).reshape(k, -1).sum(axis=0) == 1
     ap[live] = chi * (m * plus - m * minus).reshape(k, -1).sum(axis=0)
-    if symbol:
-        one &= ap[live] == cand[0]
     solved[live[one]] = True
     return ap, solved
 
@@ -411,7 +412,7 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
     with complex multiplication, settles the others in closed form: a_p = 0
     at inert primes, and at split ones the Cornacchia candidate that a point
-    singles out, for j = 0 and 1728 the one from ``_cm_symbol``.  Either kind
+    singles out, for j = 0 and 1728 the value of ``_cm_symbol``.  Either kind
     of lane runs in rounds: round r draws point r on every lane still open,
     block by block, and a lane that no round of ``_ROUNDS`` settles takes the
     character sum.  'bsgs' and 'charsum' never use the closed form.  A composite raises
@@ -436,7 +437,7 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     todo = np.arange(np.searchsorted(ps, cutoff), ps.size)
     D = curve._cm_disc if method == "auto" else None
     K = quadratic_field(squarefree_kernel(D)) if D else None
-    symbol = 0 in (curve.A, curve.B)        # j = 0 or 1728: one candidate, from the symbol
+    symbol = 0 in (curve.A, curve.B)        # j = 0 or 1728: a_p from the residue symbol
     for r in range(_ROUNDS):   # one round on every open lane, then resample
         i = 0
         while i < todo.size:        # blocks of _BLOCK_ENTRIES CM lanes, or about as many baby steps

@@ -267,20 +267,22 @@ def test_cm_symbol_matches_charsum_at_every_split_prime_below_2e4(D):
         assert symbol.tolist() == [elliptic._trace_charsum(E, p) for p in q.tolist()], c
 
 
-@pytest.mark.parametrize("E", [CurveModel(-1, 0), CurveModel(0, 1)], ids=["j1728", "j0"])
-def test_cm_lanes_refuse_a_symbol_of_the_wrong_sign(monkeypatch, E):
-    # the point check matches |c| with either sign; a lane then also needs
-    # the a_p it finds to be the symbol's c, so a wrong sign falls back to
-    # the character sum and every trace stays exact
-    ps = np.array([p for p in SMALL_PRIMES if p < 5_000 and E.has_good_reduction(p)])
+@pytest.mark.parametrize("E", [CurveModel(-1, 0), CurveModel(0, 1), CurveModel(0, 2**63 + 5)],
+                         ids=["j1728", "j0", "j0-past-int64"])
+def test_cm_symbol_lanes_draw_no_point(monkeypatch, E):
+    # j = 0 and 1728 take every lane past the cutoff from the symbol in
+    # round 0: no point is drawn, and no lane falls back to the character sum
+    ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4) & (PRIMES_5E4 < 20_000)]
     expect = frobenius_traces(E, ps, "charsum")
-    fallbacks, symbol, charsum = [], elliptic._cm_symbol, elliptic._trace_charsum
-    monkeypatch.setattr(elliptic, "_cm_symbol", lambda *args: -symbol(*args))
-    monkeypatch.setattr(elliptic, "_trace_charsum",
-                        lambda curve, p: fallbacks.append(p) or charsum(curve, p))
+    symbol, calls, fallbacks = elliptic._cm_symbol, [], []
+    monkeypatch.setattr(elliptic, "_draw", lambda *args: pytest.fail("drew a point"))
+    monkeypatch.setattr(elliptic, "_cm_symbol", lambda *args: calls.append(args[0]) or symbol(*args))
+    monkeypatch.setattr(elliptic, "trace_of_frobenius",
+                        lambda curve, p, method: fallbacks.append(p) or trace_of_frobenius(curve, p, method))
     assert np.array_equal(frobenius_traces(E, ps), expect)
+    assert fallbacks == ps[ps < elliptic._CHARSUM_CUTOFF].tolist()
     split = (ps >= elliptic._CHARSUM_CUTOFF) & (expect != 0)
-    assert [p for p in fallbacks if p >= elliptic._CHARSUM_CUTOFF] == ps[split].tolist()
+    assert np.concatenate(calls).tolist() == ps[split].tolist()
 
 
 # ------------------------------------------------ Tonelli-Shanks and the 2^63 headroom
@@ -389,7 +391,7 @@ def test_point_steps_keep_residues_near_2_31_exact():
     assert to_affine(elliptic._add(P, Q, Q2, p), p) == [
         affine_add(R, (int(u), int(v)), 0, int(q)) for R, u, v, q in zip(PA, *Q, p)]
     # _mul by k near p: 31 doublings and adds, with every residue drawn near p - 1;
-    # every third lane has a small k, 0 and 1 included: those without bit 30 start at O
+    # every third lane has a small k, 0 and 1 included
     k = p - np.arange(3, 3 + p.size)
     k[::3] = [0, 1, 2, 3, 6, 2**16 + 1, 2**30 - 1, 2**30]
     assert to_affine(elliptic._mul(k, Q, Q2, a, p), p) == [
