@@ -372,13 +372,12 @@ def _cm_round(p, A, B, r, K, symbol):
     the field K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At
     split p, a_p is the trace of u pi for a unit u of O_K, where
     4p = t^2 + |D| v^2: one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2
-    for D = -3.  With ``symbol`` (j = 0 or 1728) the lane takes a_p from
-    ``_cm_symbol`` and draws no point: the value rests on that theorem, as
-    the candidate list rests on Deuring's.  Otherwise a lane takes the one
-    candidate c with (p + 1 - chi(f) c) Q = O for the point Q of ``_draw``,
-    comparing (p + 1) Q with |c| Q; with none or several, or (p + 1) Q = O,
-    it stays open for the next draw.  A BSGS round on that point would fail
-    too, so ramified lanes stay open as well."""
+    for D = -3.  A lane takes the one candidate c with (p + 1 - chi(f) c) Q = O
+    for the point Q of ``_draw``, comparing (p + 1) Q with |c| Q; with none or
+    several, or (p + 1) Q = O, it stays open for the next draw.  A BSGS round
+    on that point would fail too, so ramified lanes stay open as well.  With
+    ``symbol`` (j = 0 or 1728) a split lane takes a_p from ``_cm_symbol`` and
+    draws no point: it rests on that theorem as the candidates on Deuring's."""
     k, D = K.classes(p), K.disc             # K's classes: split (0), inert (1), ramified (2)
     ap, solved = np.zeros_like(p), k == 1
     live = np.flatnonzero(k == 0)

@@ -175,8 +175,8 @@ def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
 def test_cm_lanes_draw_round_major(monkeypatch):
     # the -7 twist of the j = 54000 curve to 5e4 in blocks of 1024 lanes:
     # five blocks, one of which draws three times; every block takes draw r
-    # before any takes r + 1.  (y^2 = x^3 + 1, whose one candidate comes from
-    # the sextic symbol, settles every lane by draw 1.)
+    # before any takes r + 1.  (y^2 = x^3 + 1 takes its split lanes from the
+    # sextic symbol and draws no point.)
     j = cm_curve(54000)
     E = CurveModel(j.A * 7 ** 2, j.B * (-7) ** 3)
     ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
