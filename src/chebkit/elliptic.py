@@ -2,15 +2,14 @@
 style counters: primes with a fixed trace, and primes with a fixed
 Frobenius quadratic field.
 
-Traces come from a full quadratic-character sum for small primes and, for
-the others, from one baby-step giant-step order search in the Hasse
+Traces come from one baby-step giant-step order search in the Hasse
 interval that runs over all primes at once, one numpy lane per prime.
 Under the 'auto' method a curve with complex multiplication is traced in
-closed form first: a_p = 0 at inert primes, and at split primes a
+closed form instead: a_p = 0 at inert primes, and at split primes a
 Cornacchia candidate that one point check singles out, or for j = 0 and
 1728 the value of a residue symbol, with no point drawn.  Ambiguous
-searches resample points and finally fall back to the character sum, so
-every reported trace is exact.
+searches resample points, and the few lanes that no draw settles fall
+back to a full quadratic-character sum, so every reported trace is exact.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .chebotarev import quadratic_field
 from .errors import CapacityError, DomainError
 from .sieve import CountSeries, _sieved, primes_upto
 
-_CHARSUM_CUTOFF = 1_000
 _CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
 _CHARSUM_CHUNK = 2 ** 16      # x per chunk of its sweep: int64 arrays of 512 kB
 _ROUNDS = 8                   # rounds, one draw each, of every lane kind before the character sum
@@ -408,13 +406,13 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
 
     'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
     runs lockstep baby-step giant-step searches over blocks of primes;
-    'auto' takes character sums below ``_CHARSUM_CUTOFF`` and, on a curve
-    with complex multiplication, settles the others in closed form: a_p = 0
-    at inert primes, and at split ones the Cornacchia candidate that a point
-    singles out, for j = 0 and 1728 the value of ``_cm_symbol``.  Either kind
-    of lane runs in rounds: round r draws point r on every lane still open,
-    block by block, and a lane that no round of ``_ROUNDS`` settles takes the
-    character sum.  'bsgs' and 'charsum' never use the closed form.  A composite raises
+    'auto' differs from 'bsgs' only on a curve with complex multiplication,
+    which it settles in closed form: a_p = 0 at inert primes, and at split
+    ones the Cornacchia candidate that a point singles out, for j = 0 and
+    1728 the value of ``_cm_symbol``.  Either kind of lane runs in rounds:
+    round r draws point r on every lane still open, block by block, and a
+    lane that no round of ``_ROUNDS`` settles takes the character sum.
+    'bsgs' and 'charsum' never use the closed form.  A composite raises
     ``DomainError``: a lane the sieve's table reaches is looked up in it,
     one past its top tested by ``_is_prime``.  Primes >= 2^31 raise
     ``CapacityError``: the lanes multiply residues in int64; so does a
@@ -430,10 +428,9 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
             or np.any(np.searchsorted(table, low) == np.searchsorted(table, low, "right"))
             or not _is_prime(ps[low.size:]).all() or not np.all(curve.has_good_reduction(ps))):
         raise DomainError("primes must be ascending primes of good reduction")
-    cutoff = {"auto": _CHARSUM_CUTOFF, "bsgs": 0, "charsum": _LANE_LIMIT}[method]
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
     A, B = (_reduce(n, ps).astype(np.int64) for n in (curve.A, curve.B))
-    todo = np.arange(np.searchsorted(ps, cutoff), ps.size)
+    todo = np.arange(0 if method == "charsum" else ps.size)
     D = curve._cm_disc if method == "auto" else None
     K = quadratic_field(squarefree_kernel(D)) if D else None
     symbol = 0 in (curve.A, curve.B)        # j = 0 or 1728: a_p from the residue symbol
@@ -447,7 +444,7 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
             out[block], solved[block] = _cm_round(*args, K, symbol) if K else _bsgs_round(*args, M)
             i += block.size
         todo = todo[~solved[todo]]
-    # below the cutoff, or left open: the one route from the CLI to trace_of_frobenius
+    # 'charsum', or left open by every round: the one route from the CLI to trace_of_frobenius
     for k in np.flatnonzero(~solved):
         out[k] = trace_of_frobenius(curve, int(ps[k]), "charsum").a_p
     return out
@@ -455,8 +452,10 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
 
 def trace_of_frobenius(curve: CurveModel, p: int, method: str = "auto") -> FrobeniusRecord:
     """Exact a_p at one prime: the character sum for 'charsum', else
-    ``frobenius_traces`` on one lane.  Bad-reduction primes give a record
-    with ``skipped=True``; a composite p raises ``DomainError``.
+    ``frobenius_traces`` on one lane, which runs the rounds at any p:
+    1-2 ms, against about 0.1 ms for a character sum at p < 10^3.
+    Bad-reduction primes give a record with ``skipped=True``; a composite
+    p raises ``DomainError``.
     ``CapacityError`` comes from the callee: ``_trace_charsum`` refuses
     p > 2^28, and ``frobenius_traces`` primes >= 2^31."""
     if p < 2:

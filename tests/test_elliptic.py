@@ -159,13 +159,12 @@ def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
     monkeypatch.setattr(elliptic, "_trace_charsum", spy_charsum)
     auto = frobenius_traces(E, ps)
     # the closed form settles every inert lane and all but 1% of the split
-    # ones; the lanes below the cutoff take character sums as before
-    above = [p for p in ps.tolist() if p >= elliptic._CHARSUM_CUTOFF]
-    split = [p for p in above if kronecker(D, p) == 1]
-    open_lanes = [p for p in searched + fallbacks if p >= elliptic._CHARSUM_CUTOFF]
+    # ones, the smallest primes included
+    split = [p for p in ps.tolist() if kronecker(D, p) == 1]
+    open_lanes = searched + fallbacks
     assert all(kronecker(D, p) == 1 for p in open_lanes)
     assert len(open_lanes) <= 0.01 * len(split)
-    assert (auto[np.isin(ps, above)] == 0).tolist() == [kronecker(D, p) == -1 for p in above]
+    assert (auto == 0).tolist() == [kronecker(D, p) == -1 for p in ps.tolist()]
     monkeypatch.undo()
     assert np.array_equal(auto, frobenius_traces(E, ps, "bsgs"))
     small = ps < 5_000
@@ -202,6 +201,22 @@ def test_bsgs_settles_a_square_group_through_the_twist(monkeypatch, A, B, p):
     monkeypatch.setattr(elliptic, "_trace_charsum",
                         lambda curve, q: pytest.fail(f"p = {q} reached the character sum"))
     assert frobenius_traces(E, [p], "bsgs").tolist() == [expect]
+
+
+@pytest.mark.parametrize("method", ["auto", "bsgs"])
+def test_lane_that_no_round_settles_takes_the_charsum(monkeypatch, method):
+    # over F_5, y^2 = x^3 - x + 5 has E(F_5) = Z/2 x Z/4 and its twist
+    # Z/2 x Z/2: every point's order has two or more multiples in the Hasse
+    # interval [2, 10], so no round settles p = 5
+    E = CurveModel(-1, 5)
+    assert not E.has_cm and naive_point_count(-1, 5, 5) == 8
+    ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4) & (PRIMES_5E4 < 100)]
+    expect = [elliptic._trace_charsum(E, p) for p in ps.tolist()]
+    fallbacks, charsum = [], elliptic._trace_charsum
+    monkeypatch.setattr(elliptic, "_trace_charsum",
+                        lambda curve, p: fallbacks.append(p) or charsum(curve, p))
+    assert frobenius_traces(E, ps, method).tolist() == expect
+    assert 5 in fallbacks
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,8 +285,8 @@ def test_cm_symbol_matches_charsum_at_every_split_prime_below_2e4(D):
 @pytest.mark.parametrize("E", [CurveModel(-1, 0), CurveModel(0, 1), CurveModel(0, 2**63 + 5)],
                          ids=["j1728", "j0", "j0-past-int64"])
 def test_cm_symbol_lanes_draw_no_point(monkeypatch, E):
-    # j = 0 and 1728 take every lane past the cutoff from the symbol in
-    # round 0: no point is drawn, and no lane falls back to the character sum
+    # j = 0 and 1728 take every split lane from the symbol in round 0: no
+    # point is drawn, and no lane falls back to the character sum
     ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4) & (PRIMES_5E4 < 20_000)]
     expect = frobenius_traces(E, ps, "charsum")
     symbol, calls, fallbacks = elliptic._cm_symbol, [], []
@@ -280,9 +295,8 @@ def test_cm_symbol_lanes_draw_no_point(monkeypatch, E):
     monkeypatch.setattr(elliptic, "trace_of_frobenius",
                         lambda curve, p, method: fallbacks.append(p) or trace_of_frobenius(curve, p, method))
     assert np.array_equal(frobenius_traces(E, ps), expect)
-    assert fallbacks == ps[ps < elliptic._CHARSUM_CUTOFF].tolist()
-    split = (ps >= elliptic._CHARSUM_CUTOFF) & (expect != 0)
-    assert np.concatenate(calls).tolist() == ps[split].tolist()
+    assert fallbacks == []
+    assert np.concatenate(calls).tolist() == ps[expect != 0].tolist()
 
 
 # ------------------------------------------------ Tonelli-Shanks and the 2^63 headroom
