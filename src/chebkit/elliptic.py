@@ -4,12 +4,11 @@ Frobenius quadratic field.
 
 Traces come from one baby-step giant-step order search in the Hasse
 interval that runs over all primes at once, one numpy lane per prime.
-Under the 'auto' method a curve with complex multiplication is traced in
-closed form instead: a_p = 0 at inert primes, and at split primes a
-Cornacchia candidate that one point check singles out, or for j = 0 and
-1728 the value of a residue symbol, with no point drawn.  Ambiguous
-searches resample points, and the few lanes that no draw settles fall
-back to a full quadratic-character sum, so every reported trace is exact.
+Under the 'auto' method the curves with j = 0 and j = 1728 are traced in
+closed form instead: a_p = 0 at inert primes, and at split primes the
+value of a residue symbol, with no point drawn.  Ambiguous searches
+resample points, and the few lanes that no draw settles fall back to a
+full quadratic-character sum, so every reported trace is exact.
 """
 
 from __future__ import annotations
@@ -26,15 +25,13 @@ from .sieve import CountSeries, _sieved, primes_upto
 
 _CHARSUM_LIMIT = 2 ** 28      # the character sum's bool square table: 256 MB at the limit
 _CHARSUM_CHUNK = 2 ** 16      # x per chunk of its sweep: int64 arrays of 512 kB
-_ROUNDS = 8                   # rounds, one draw each, of every lane kind before the character sum
+_ROUNDS = 8                   # rounds, one draw each on the BSGS lanes, before the character sum
 _BLOCK_ENTRIES = 2 ** 16      # lanes per CM block; baby steps per BSGS block
 _LANE_LIMIT = 2 ** 31
 _TRACE_CACHE_CURVES = 6      # a second pass over six curves re-traces none
-# the j-invariants in Q of the curves with complex multiplication, each with
-# the discriminant D_K of its CM field K
-_CM_FIELDS = {0: -3, 54000: -3, -12288000: -3, 1728: -4, 287496: -4, -3375: -7,
-              16581375: -7, 8000: -8, -32768: -11, -884736: -19, -884736000: -43,
-              -147197952000: -67, -262537412640768000: -163}
+# the j-invariants in Q of the curves with complex multiplication
+_CM_J = (0, 54000, -12288000, 1728, 287496, -3375, 16581375, 8000, -32768, -884736,
+         -884736000, -147197952000, -262537412640768000)
 
 
 @dataclass(frozen=True)
@@ -54,18 +51,13 @@ class CurveModel:
         return 4 * self.A ** 3 + 27 * self.B ** 2
 
     @property
-    def _cm_disc(self) -> int | None:
-        """D_K of the CM field when the j-invariant 6912 A^3 / (4A^3 + 27B^2),
-        compared exactly, is one of the 13 rational CM j-invariants; else None."""
-        num, den = 6912 * self.A ** 3, self.disc_factor
-        return next((D for j, D in _CM_FIELDS.items() if num == j * den), None)
-
-    @property
     def has_cm(self) -> bool:
-        """The curve has complex multiplication: its j-invariant is one of
-        the 13 rational CM j-invariants.  ``frobenius_traces`` settles such
-        curves in closed form under 'auto', never under 'bsgs' or 'charsum'."""
-        return self._cm_disc is not None
+        """The curve has complex multiplication: its j-invariant
+        6912 A^3 / (4A^3 + 27B^2), compared exactly, is one of the 13
+        rational CM j-invariants.  ``frobenius_traces`` reads A and B, not
+        this flag: under 'auto' it takes a closed form at j = 0 and 1728 only."""
+        num, den = 6912 * self.A ** 3, self.disc_factor
+        return any(num == j * den for j in _CM_J)
 
     def has_good_reduction(self, p):
         """p is not 2 or 3 and does not divide 4A^3 + 27B^2; elementwise
@@ -365,39 +357,18 @@ def _cm_symbol(p, A, B, t, v, D):
     return np.array(trace)[h, np.arange(p.size)]
 
 
-def _cm_round(p, A, B, r, K, symbol):
-    """(a_p, solved) for one block of lanes on draw r, on a curve with CM by
-    the field K of discriminant D.  At p inert in K, a_p = 0 (Deuring).  At
-    split p, a_p is the trace of u pi for a unit u of O_K, where
-    4p = t^2 + |D| v^2: one of +-t, also +-2v for D = -4 and +-(t +- 3v)/2
-    for D = -3.  A lane takes the one candidate c with (p + 1 - chi(f) c) Q = O
-    for the point Q of ``_draw``, comparing (p + 1) Q with |c| Q; with none or
-    several, or (p + 1) Q = O, it stays open for the next draw.  A BSGS round
-    on that point would fail too, so ramified lanes stay open as well.  With
-    ``symbol`` (j = 0 or 1728) a split lane takes a_p from ``_cm_symbol`` and
-    draws no point: it rests on that theorem as the candidates on Deuring's."""
+def _cm_round(p, A, B, K):
+    """(a_p, solved) for one block of lanes on y^2 = x^3 + A x or x^3 + B,
+    with CM by K = Q(i) or Q(sqrt -3) of discriminant D.  At p inert in K,
+    a_p = 0 (Deuring); at split p, 4p = t^2 + |D| v^2 gives a_p through
+    ``_cm_symbol``.  No point is drawn, and a lane whose t, v fail the
+    identity stays open."""
     k, D = K.classes(p), K.disc             # K's classes: split (0), inert (1), ramified (2)
     ap, solved = np.zeros_like(p), k == 1
     live = np.flatnonzero(k == 0)
     t, v = _cornacchia(p[live], D)
     live, t, v = (c[t * t - D * v * v == 4 * p[live]] for c in (live, t, v))
-    if symbol:
-        ap[live], solved[live] = _cm_symbol(p[live], A[live], B[live], t, v, D), True
-        return ap, solved
-    m = np.abs({-4: [t, 2 * v], -3: [t, (t + 3 * v) // 2, (t - 3 * v) // 2]}.get(D, [t]))
-    k, q = len(m), p[live]
-    f, chi, a, Q = _draw(q, A[live], B[live], r)
-    Q2 = _dbl((*Q, np.ones_like(q)), a, q)
-    R = _mul(q + 1, Q, Q2, a, q)
-    one = (R[2] != 0) & (f != 0)        # (p + 1) Q = O: every c with c Q = O would match
-    q, a, Q, Q2, R, m = *(np.tile(c, k) for c in (q, a, Q, Q2, R)), m.ravel()  # candidate-major
-    C = _mul(m, Q, Q2, a, q)
-    same_x = (C[2] != 0) & ((R[0] * C[2] - C[0] * R[2]) % q == 0)   # R != O = |c| Q
-    yr, yc = R[1] * C[2] % q, C[1] * R[2] % q
-    plus, minus = same_x & (yr == yc), same_x & ((yr + yc) % q == 0)   # R = C, R = -C
-    one &= (plus.astype(np.int64) + minus).reshape(k, -1).sum(axis=0) == 1
-    ap[live] = chi * (m * plus - m * minus).reshape(k, -1).sum(axis=0)
-    solved[live[one]] = True
+    ap[live], solved[live] = _cm_symbol(p[live], A[live], B[live], t, v, D), True
     return ap, solved
 
 
@@ -406,13 +377,12 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
 
     'charsum' sums the quadratic character over F_p, prime by prime; 'bsgs'
     runs lockstep baby-step giant-step searches over blocks of primes;
-    'auto' differs from 'bsgs' only on a curve with complex multiplication,
-    which it settles in closed form: a_p = 0 at inert primes, and at split
-    ones the Cornacchia candidate that a point singles out, for j = 0 and
-    1728 the value of ``_cm_symbol``.  Either kind of lane runs in rounds:
-    round r draws point r on every lane still open, block by block, and a
-    lane that no round of ``_ROUNDS`` settles takes the character sum.
-    'bsgs' and 'charsum' never use the closed form.  A composite raises
+    'auto' differs from 'bsgs' only at j = 1728 (B = 0) and j = 0 (A = 0),
+    which it settles in closed form, block by block in round 0 (``_cm_round``).
+    Every other curve, with CM or without, runs the BSGS rounds: round r
+    draws point r on every lane still open, block by block, and a lane that
+    no round of ``_ROUNDS`` settles takes the character sum.  'bsgs' and
+    'charsum' never use the closed form.  A composite raises
     ``DomainError``: a lane the sieve's table reaches is looked up in it,
     one past its top tested by ``_is_prime``.  Primes >= 2^31 raise
     ``CapacityError``: the lanes multiply residues in int64; so does a
@@ -431,17 +401,16 @@ def frobenius_traces(curve: CurveModel, primes, method: str = "auto") -> np.ndar
     out, solved = np.zeros_like(ps), np.zeros(ps.size, bool)
     A, B = (_reduce(n, ps).astype(np.int64) for n in (curve.A, curve.B))
     todo = np.arange(0 if method == "charsum" else ps.size)
-    D = curve._cm_disc if method == "auto" else None
-    K = quadratic_field(squarefree_kernel(D)) if D else None
-    symbol = 0 in (curve.A, curve.B)        # j = 0 or 1728: a_p from the residue symbol
+    closed = method == "auto" and 0 in (curve.A, curve.B)      # j = 0 or 1728
+    K = quadratic_field(-1 if curve.B == 0 else -3) if closed else None
     for r in range(_ROUNDS):   # one round on every open lane, then resample
         i = 0
         while i < todo.size:        # blocks of _BLOCK_ENTRIES CM lanes, or about as many baby steps
             M = 1 if K else _baby_steps(ps[todo[min(i + _BLOCK_ENTRIES // _baby_steps(ps[todo[i]]),
                                                    todo.size) - 1]])
             block = todo[i:i + _BLOCK_ENTRIES // M]
-            args = ps[block], A[block], B[block], r
-            out[block], solved[block] = _cm_round(*args, K, symbol) if K else _bsgs_round(*args, M)
+            args = ps[block], A[block], B[block]
+            out[block], solved[block] = _cm_round(*args, K) if K else _bsgs_round(*args, r, M)
             i += block.size
         todo = todo[~solved[todo]]
     # 'charsum', or left open by every round: the one route from the CLI to trace_of_frobenius
@@ -504,12 +473,13 @@ def trace_match_count(curve: CurveModel, a: int, x: int,
 def frobenius_field_count(curve: CurveModel, D_k: int, x: int,
                           checkpoints=None) -> CountSeries:
     """Counting series for #{good p <= t : Q(sqrt(a_p^2 - 4p)) has
-    discriminant field D_k}, fields identified by squarefree kernel."""
+    discriminant D_k}, fields identified by squarefree kernel.  D_k must be
+    the discriminant of an imaginary quadratic field, not of an order."""
     if D_k >= 0:
         raise DomainError("imaginary quadratic field needs a negative discriminant")
-    if D_k % 4 not in (0, 1):
-        raise DomainError("not a quadratic field discriminant")
     kernel = squarefree_kernel(D_k)
+    if D_k != (kernel if kernel % 4 == 1 else 4 * kernel):     # as quadratic_field's disc
+        raise DomainError(f"{D_k} is not the discriminant of a quadratic field")
     ps, aps = trace_table(curve, int(x))
     # a_p^2 - 4p has squarefree kernel k iff it is k times a square
     v = aps * aps - 4 * ps

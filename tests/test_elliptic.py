@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from chebkit import elliptic, sieve
 from chebkit.arith import factorize, kronecker, squarefree_kernel
 from chebkit.chebotarev import quadratic_field
+from chebkit.cli import run
 from chebkit.elliptic import (CurveModel, FrobeniusRecord, frobenius_field_count,
                               frobenius_traces, growth_shape_report, read_curves,
                               trace_match_count, trace_of_frobenius, trace_table)
@@ -20,6 +23,7 @@ TEST_CURVES = [CurveModel(1, 1), CurveModel(-1, 1), CurveModel(2, 3),
 CM_FIELDS = [(0, -3), (1728, -4), (-3375, -7), (8000, -8), (-32768, -11), (54000, -3),
              (287496, -4), (-884736, -19), (-12288000, -3), (16581375, -7),
              (-884736000, -43), (-147197952000, -67), (-262537412640768000, -163)]
+CM_DISCS = sorted({D for _, D in CM_FIELDS})
 
 
 def cm_curve(j):
@@ -143,10 +147,12 @@ PRIMES_5E4 = primes_upto(50_000)
 
 @pytest.mark.parametrize("j,D", CM_FIELDS, ids=[str(j) for j, _ in CM_FIELDS])
 def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
+    # 'auto' takes the closed form at j = 0 and 1728 only; the other 11 CM
+    # curves run the BSGS rounds, as 'bsgs' does, and never reach Cornacchia
     E = cm_curve(j)
     ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
-    searched, fallbacks = [], []
-    orders, charsum = elliptic._point_orders, elliptic._trace_charsum
+    searched, fallbacks, cornacchia = [], [], []
+    orders, charsum, solve = elliptic._point_orders, elliptic._trace_charsum, elliptic._cornacchia
 
     def spy_orders(p, *args):
         searched.extend(p.tolist())
@@ -157,25 +163,30 @@ def test_cm_closed_form_agrees_with_bsgs_and_charsum(monkeypatch, j, D):
         return charsum(curve, p)
     monkeypatch.setattr(elliptic, "_point_orders", spy_orders)
     monkeypatch.setattr(elliptic, "_trace_charsum", spy_charsum)
+    monkeypatch.setattr(elliptic, "_cornacchia", lambda p, D: cornacchia.append(p) or solve(p, D))
     auto = frobenius_traces(E, ps)
-    # the closed form settles every inert lane and all but 1% of the split
-    # ones, the smallest primes included
-    split = [p for p in ps.tolist() if kronecker(D, p) == 1]
-    open_lanes = searched + fallbacks
-    assert all(kronecker(D, p) == 1 for p in open_lanes)
-    assert len(open_lanes) <= 0.01 * len(split)
+    # a_p = 0 just at the inert primes (Deuring)
     assert (auto == 0).tolist() == [kronecker(D, p) == -1 for p in ps.tolist()]
+    if j in (0, 1728):
+        # the closed form settles every inert lane and all but 1% of the
+        # split ones, the smallest primes included
+        split = [p for p in ps.tolist() if kronecker(D, p) == 1]
+        open_lanes = searched + fallbacks
+        assert all(kronecker(D, p) == 1 for p in open_lanes)
+        assert len(open_lanes) <= 0.01 * len(split)
+    else:
+        assert cornacchia == []
     monkeypatch.undo()
     assert np.array_equal(auto, frobenius_traces(E, ps, "bsgs"))
     small = ps < 5_000
     assert np.array_equal(auto[small], frobenius_traces(E, ps[small], "charsum"))
 
 
-def test_cm_lanes_draw_round_major(monkeypatch):
-    # the -7 twist of the j = 54000 curve to 5e4 in blocks of 1024 lanes:
-    # five blocks, one of which draws three times; every block takes draw r
-    # before any takes r + 1.  (y^2 = x^3 + 1 takes its split lanes from the
-    # sextic symbol and draws no point.)
+def test_bsgs_lanes_of_a_cm_curve_draw_round_major(monkeypatch):
+    # the -7 twist of the j = 54000 curve to 5e4 in blocks of 1024 baby
+    # steps: it has CM, but 'auto' runs its lanes through the BSGS rounds as
+    # 'bsgs' does.  87 blocks take draw 0 and the lanes left open go on to
+    # draws 1 to 7; every block takes draw r before any takes r + 1
     j = cm_curve(54000)
     E = CurveModel(j.A * 7 ** 2, j.B * (-7) ** 3)
     ps = PRIMES_5E4[E.has_good_reduction(PRIMES_5E4)]
@@ -234,7 +245,7 @@ def test_resample_draws_alternate_the_twist(A, B):
         assert (f != 0).all() and np.array_equal(chi, chi0 * (-1) ** r)
 
 
-@pytest.mark.parametrize("D", sorted(set(elliptic._CM_FIELDS.values())))
+@pytest.mark.parametrize("D", CM_DISCS)
 def test_cm_field_map_matches_euler_criterion(D):
     # the CM lanes read split or inert from K's Frobenius map
     ps = primes_upto(2 * 10**5)
@@ -301,7 +312,6 @@ def test_cm_symbol_lanes_draw_no_point(monkeypatch, E):
 
 # ------------------------------------------------ Tonelli-Shanks and the 2^63 headroom
 
-CM_DISCS = sorted(set(elliptic._CM_FIELDS.values()))
 # p - 1 divisible by 2^13, 2^16, 2^18, 2^25, 2^26 and 2^27
 TWO_ADIC_PRIMES = [40961, 65537, 786433, 167772161, 469762049, 2013265921]
 
@@ -704,6 +714,26 @@ def test_frobenius_field_validation():
     with pytest.raises(DomainError):
         frobenius_field_count(E, -5, 100)  # -5 = 3 mod 4: not a discriminant
     frobenius_field_count(E, -20, 100)  # -20 is fine (field disc of sqrt(-5))
+
+
+def benchmark_field_discs():
+    """FIELD_DISCS of the frobenius benchmark, read from its source."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "frobenius.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "FIELD_DISCS")
+
+
+def test_frobenius_field_count_takes_only_field_discriminants():
+    # -12, -16, -27 and -28 are discriminants of orders, 1 or 0 mod 4, whose
+    # squarefree kernels -3, -1, -3 and -7 belong to the fields -3, -4, -3, -7
+    E = CurveModel(1, 1)
+    for D in (-12, -16, -27, -28):
+        with pytest.raises(DomainError, match="not the discriminant"):
+            frobenius_field_count(E, D, 100)
+        code, text = run(["lang-trotter", "--curve", "1,1", "--disc", str(D), "--x", "500"])
+        assert code == 2 and "not the discriminant" in text, D
+    for D in benchmark_field_discs() + tuple(CM_DISCS):
+        frobenius_field_count(E, D, 100)
 
 
 def test_vectorised_field_count_matches_scalar_kernels():
